@@ -33,12 +33,13 @@ from .errors import (
     ResolutionFailedError,
     UndefinedError,
     UnsupportedCoefficientsError,
+    VerificationError,
 )
 from .poly import Polynomial, format_poly, parse_poly
 from .action import apply_jq, apply_word
 from .opalg import OpElement, chi, eval_element, format_op, parse_op, phi_reduce
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "JqError",
@@ -51,6 +52,7 @@ __all__ = [
     "NotFoundError",
     "ResolutionFailedError",
     "NoSolutionError",
+    "VerificationError",
     "Polynomial",
     "parse_poly",
     "format_poly",

@@ -3,15 +3,31 @@
 The total operation sends each variable generator x to x + x^2 and extends
 multiplicatively; its graded piece of degree k raises a monomial's degree by
 exactly k.  On a monomial the piece distributes across the variables with a
-product of binomial coefficients, which is the only formula used here, so
-everything stays exact over the rationals.
+product of binomial coefficients: absorbing j units into an exponent e
+multiplies by C(e, j).  The image of a monomial under any word is therefore
+a sum of monomials with nonnegative integer coefficients, and rational
+coefficients only enter through the polynomial or element acted on.
 
-Words act by composition with the rightmost entry applied first, matching
-the concatenation product of the operator algebra.
+Every evaluation of words on monomials in the package goes through one
+kernel:
+
+- ``monomial_image(k, exps)`` is the degree-k image of one monomial as an
+  immutable tuple of (raised exponents, int) pairs, cached for the life of
+  the process by (k, exps);
+- ``word_images(words, mu)`` evaluates a list of words on one monomial as
+  plain ``{exponents: int}`` dicts, sharing right factors between words
+  (the image of Jq2.Jq1.Jq1 starts from that of Jq1.Jq1);
+- ``element_image(terms, mu)`` sums those images for an element
+  ``{word: coeff}`` and drops the terms that cancel.
+
+``apply_jq`` and ``apply_word`` on a Polynomial are built on the same cached
+images.  Words act by composition with the rightmost entry applied first,
+matching the concatenation product of the operator algebra.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DomainError, UndefinedError
@@ -20,7 +36,7 @@ from .scalar2 import binom
 
 
 def _splits(exps, k):
-    """Yield (coefficient, raised exponent tuple) over ways to spread k.
+    """Yield (raised exponent tuple, coefficient) over ways to spread k.
 
     Each variable with exponent e can absorb 0..e units; absorbing j units
     multiplies by C(e, j) and raises the exponent by j.  Zero-coefficient
@@ -31,7 +47,7 @@ def _splits(exps, k):
     def rec(pos, remaining, coeff, acc):
         if pos == n:
             if remaining == 0:
-                yield coeff, tuple(acc)
+                yield tuple(acc), coeff
             return
         e = exps[pos]
         top = min(e, remaining)
@@ -45,6 +61,50 @@ def _splits(exps, k):
     yield from rec(0, k, 1, [])
 
 
+@functools.lru_cache(maxsize=None)
+def monomial_image(k: int, exps: tuple) -> tuple:
+    """Degree-k image of the monomial with exponents exps.
+
+    A tuple of (raised exponents, positive int coefficient) pairs, empty
+    when k exceeds the degree.
+    """
+    if k < 0:
+        raise DomainError("operation degree must be nonnegative")
+    return tuple(_splits(exps, k))
+
+
+def word_images(words, mu) -> list:
+    """Images of the monomial mu under each word, as {exponents: int} dicts.
+
+    Suffix images are memoised for this call only, so the returned dicts
+    belong to the caller; a word listed twice gets the same dict twice.
+    """
+    mu = tuple(mu)
+    memo = {(): {mu: 1}}
+
+    def image(w):
+        out = memo.get(w)
+        if out is None:
+            out = {}
+            k = w[0]
+            for exps, c in image(w[1:]).items():
+                for raised, coeff in monomial_image(k, exps):
+                    out[raised] = out.get(raised, 0) + c * coeff
+            memo[w] = out
+        return out
+
+    return [image(tuple(w)) for w in words]
+
+
+def element_image(terms, mu) -> dict:
+    """Image of the monomial mu under the element {word: coeff}, zero terms dropped."""
+    acc = {}
+    for c, img in zip(terms.values(), word_images(terms, mu)):
+        for exps, v in img.items():
+            acc[exps] = acc.get(exps, 0) + c * v
+    return {exps: v for exps, v in acc.items() if v != 0}
+
+
 def apply_jq(k: int, f: Polynomial) -> Polynomial:
     """Apply the degree-k operation to f, term by term."""
     if k < 0:
@@ -53,7 +113,7 @@ def apply_jq(k: int, f: Polynomial) -> Polynomial:
         return f
     terms = {}
     for exps, c in f.terms.items():
-        for coeff, raised in _splits(exps, k):
+        for raised, coeff in monomial_image(k, exps):
             terms[raised] = terms.get(raised, Fraction(0)) + c * coeff
     return Polynomial(f.arity, terms)
 

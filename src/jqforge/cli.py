@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, NoSolutionError, NotFoundError, ParseError
+from .errors import DomainError, NoSolutionError, NotFoundError, ParseError, VerificationError
 from .scalar2 import INF, format_scalar, in_z2, parse_scalar, two_adic_digits
 from .poly import Polynomial, format_poly, parse_poly
 from .action import apply_jq
@@ -582,6 +582,9 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ParseError -> 2, domain errors -> 3,
-and the "no answer exists" pair NotFoundError / NoSolutionError -> 4.
+the "no answer exists" pair NotFoundError / NoSolutionError -> 4, and
+VerificationError -> 5 (an answer was computed but failed its own check,
+which is a fault in the program, not in the input).
 """
 
 
@@ -47,3 +49,7 @@ class NoSolutionError(NotFoundError):
     def __init__(self, index, message=None):
         self.index = index
         super().__init__(message or f"no solution; first inconsistent constraint at index {index}")
+
+
+class VerificationError(JqError):
+    """A computed answer failed the check it carries; raised instead of returned."""

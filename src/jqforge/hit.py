@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .action import apply_jq, apply_word
-from .errors import DomainError
+from .action import apply_jq, monomial_image, word_images
+from .errors import DomainError, VerificationError
 from . import linalg
 from .opalg import sq_on_f2
 from .poly import Polynomial, format_poly, monomials_upto
@@ -114,7 +114,7 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
         cert = _single_power_certificate(f, d, precision_j)
         if cert is None:
             return False, None
-        assert cert.reconstruct(1) == f
+        _verify_certificate(cert, f)
         return True, cert
     top = d if precision_j is None else min(d, precision_j + 1)
     gens = []
@@ -122,9 +122,9 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
         for mu in monomials_upto(f.arity, d - i):
             if sum(mu) != d - i:
                 continue
-            col = apply_jq(i, Polynomial.monomial(mu))
-            if col.terms:
-                gens.append(((i, mu), col.terms))
+            col = monomial_image(i, mu)
+            if col:
+                gens.append(((i, mu), dict(col)))
     lattice = linalg.Z2Lattice(gens)
     combo = lattice.contains(f.terms)
     if combo is None:
@@ -134,8 +134,13 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
         grouped.setdefault(i, {})[mu] = c
     pairs = [(i, Polynomial(f.arity, terms)) for i, terms in sorted(grouped.items())]
     cert = HitCertificate(pairs)
-    assert cert.reconstruct(f.arity) == f
+    _verify_certificate(cert, f)
     return True, cert
+
+
+def _verify_certificate(cert: HitCertificate, f: Polynomial):
+    if cert.reconstruct(f.arity) != f:
+        raise VerificationError(f"hit certificate does not reconstruct {format_poly(f)}")
 
 
 def cohit_order(d: int):
@@ -164,10 +169,9 @@ def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:
             for mu in monomials_upto(f.arity, d - b):
                 if sum(mu) != d - b:
                     continue
-                for w in pool:
-                    col = apply_word(w, Polynomial.monomial(mu))
-                    if col.terms:
-                        gens.append(((w, mu), col.terms))
+                for w, col in zip(pool, word_images(pool, mu)):
+                    if col:
+                        gens.append(((w, mu), col))
         if gens and linalg.Z2Lattice(gens).contains(f.terms) is not None:
             value = j
         else:

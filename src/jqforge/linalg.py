@@ -132,7 +132,6 @@ class SparseEchelon:
 
     def __init__(self):
         self.rows = {}
-        self._insertion = []
 
     def reduce(self, row):
         """Reduce a dict row; returns (residual, combination over original tags)."""
@@ -172,7 +171,6 @@ class SparseEchelon:
             else:
                 combo[t] = nv
         self.rows[min(residual)] = (residual, combo)
-        self._insertion.append(tag)
         return True
 
     def membership(self, row):
@@ -185,12 +183,6 @@ class SparseEchelon:
     @property
     def rank(self):
         return len(self.rows)
-
-    def copy(self):
-        dup = SparseEchelon()
-        dup.rows = {p: (dict(r), dict(c)) for p, (r, c) in self.rows.items()}
-        dup._insertion = list(self._insertion)
-        return dup
 
 
 # -- 2-adic lattices --------------------------------------------------
@@ -301,15 +293,3 @@ def f2_row_nullspace(rows):
         if combo is not None and r == 0:
             null.append(combo)
     return null
-
-
-def f2_rank(rows):
-    basis = {}
-    for r in rows:
-        while r:
-            lead = r & -r
-            if lead not in basis:
-                basis[lead] = r
-                break
-            r ^= basis[lead]
-    return len(basis)

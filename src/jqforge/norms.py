@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .action import element_image
 from .errors import DomainError
 from . import linalg
 from .opalg import (
@@ -24,6 +25,7 @@ from .opalg import (
     phi_reduce,
     evaluate_on_power,
 )
+from .poly import monomials_upto
 from .relations import words_of_degree
 from .scalar2 import INF, in_z2, v2
 
@@ -192,23 +194,13 @@ def operator_norm_estimate(e: OpElement, n_vars: int = 4, deg_bound: int = 16) -
     the sup over monomials equals the sup over polynomials, so the only
     gap is the finite scan range.
     """
-    from .action import apply_jq
-    from .poly import Polynomial, monomials_upto
-
     if not all(in_z2(c) for c in e.terms.values()):
         raise DomainError("coefficients must be 2-adic integers")
     best = INF
     witness = None
     bounds = {"nVars": n_vars, "degBound": deg_bound}
     for mu in monomials_upto(n_vars, deg_bound):
-        f = Polynomial.monomial(mu)
-        out = Polynomial.zero(n_vars)
-        for w, c in e.terms.items():
-            img = f
-            for k in reversed(w):
-                img = apply_jq(k, img)
-            out = out + c * img
-        for c in out.terms.values():
+        for c in element_image(e.terms, mu).values():
             v = v2(c)
             if v < best:
                 best = v

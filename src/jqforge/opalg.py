@@ -16,9 +16,11 @@ of a single variable.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 
+from .action import apply_word, element_image
 from .errors import DomainError, NotInZ2Error, ParseError
 from .poly import Polynomial, monomials_upto, split_signed_terms
 from .scalar2 import binom, format_scalar, in_z2, mod2_reduce, parse_scalar
@@ -157,10 +159,6 @@ class OpElement:
 
     def coefficient(self, w) -> Fraction:
         return self.terms.get(tuple(w), Fraction(0))
-
-
-def op_mul(a: OpElement, b: OpElement) -> OpElement:
-    return a * b
 
 
 # -- text form --------------------------------------------------------
@@ -370,13 +368,6 @@ def sq_on_f2(k: int, terms: frozenset, arity: int) -> frozenset:
     return frozenset(out)
 
 
-def sq_word_on_f2(word, terms: frozenset, arity: int) -> frozenset:
-    out = terms
-    for k in reversed(tuple(word)):
-        out = sq_on_f2(k, out, arity)
-    return out
-
-
 # -- symbolic evaluation ----------------------------------------------
 
 
@@ -394,8 +385,6 @@ def _poly_m_mul(p, q):
 
 def _binom_m_poly(shift: int, k: int):
     """C(m + shift, k) as a polynomial in m, coefficient list by power."""
-    import math
-
     acc = [Fraction(1)]
     for i in range(k):
         acc = _poly_m_mul(acc, [Fraction(shift - i), Fraction(1)])
@@ -445,8 +434,6 @@ def element_on_power(e: OpElement) -> list:
 
 
 def eval_element(e: OpElement, f: Polynomial) -> Polynomial:
-    from .action import apply_word
-
     out = Polynomial.zero(f.arity)
     for w, c in e.terms.items():
         out = out + c * apply_word(w, f)
@@ -459,9 +446,13 @@ def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None)
     Defaults: n_vars = max(degree, 2) and deg_bound = 2*degree + 4, where
     degree is the largest word degree of the difference.  Callers doing
     heavy sweeps pass tighter bounds and record them.
-    """
-    from .action import apply_word
 
+    The difference is scaled by the lcm of its coefficient denominators,
+    which changes no zero test, so with the integral monomial images of
+    the evaluation kernel the whole sweep runs on Python ints.  Each
+    monomial's images share right factors between words, and the sweep
+    stops at the first monomial with a nonzero image.
+    """
     diff = a - b
     if not diff.terms:
         return True
@@ -470,12 +461,10 @@ def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None)
         n_vars = max(d, 2)
     if deg_bound is None:
         deg_bound = 2 * d + 4
+    scale = math.lcm(*(c.denominator for c in diff.terms.values()))
+    terms = {w: int(c * scale) for w, c in diff.terms.items()}
     for exps in monomials_upto(n_vars, deg_bound):
-        mono = Polynomial.monomial(exps)
-        image = Polynomial.zero(n_vars)
-        for w, c in diff.terms.items():
-            image = image + c * apply_word(w, mono)
-        if image:
+        if element_image(terms, exps):
             return False
     return True
 

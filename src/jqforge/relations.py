@@ -16,11 +16,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .action import element_image, word_images
 from .errors import (
     DomainError,
     IndecomposableError,
     NotFoundError,
     ResolutionFailedError,
+    VerificationError,
 )
 from . import linalg
 from .opalg import (
@@ -29,9 +31,11 @@ from .opalg import (
     element_on_power,
     equal_by_evaluation,
     evaluate_on_power,
+    format_op,
     format_word,
     word_key,
 )
+from .poly import monomials_upto
 from .scalar2 import in_z2
 
 
@@ -152,20 +156,14 @@ def _pair_monomials(deg: int):
     return out
 
 
-def _constraint_vector(w, mus):
-    """Sparse constraint vector of a word: symbolic plus two-variable rows."""
-    from .action import apply_word
-    from .poly import Polynomial
-
-    vec = {}
-    for i, c in enumerate(evaluate_on_power(w)):
-        if c != 0:
-            vec[("m", i)] = c
+def _constraint_vectors(words, mus):
+    """Sparse constraint vector of each word: symbolic plus two-variable rows."""
+    vecs = [{("m", i): c for i, c in enumerate(evaluate_on_power(w)) if c != 0} for w in words]
     for mi, mu in enumerate(mus):
-        img = apply_word(w, Polynomial.monomial(mu))
-        for exps, c in img.terms.items():
-            vec[("e", mi, exps)] = c
-    return vec
+        for vec, img in zip(vecs, word_images(words, mu)):
+            for exps, c in img.items():
+                vec[("e", mi, exps)] = c
+    return vecs
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,15 +183,21 @@ def q12_decompose(k: int) -> OpElement:
         return OpElement.jq(k)
     words = [w for w in words_of_degree(k) if all(p in (1, 2) for p in w)]
     mus = _pair_monomials(k)
+    *cols, target = _constraint_vectors(words + [(k,)], mus)
     ech = linalg.SparseEchelon()
-    for w in words:
-        ech.insert(_constraint_vector(w, mus), w)
-    combo = ech.membership(_constraint_vector((k,), mus))
+    for w, col in zip(words, cols):
+        ech.insert(col, w)
+    combo = ech.membership(target)
     if combo is None:
         raise ResolutionFailedError(f"generator outside the 1,2-word span at degree {k}")
     out = OpElement({w: c for w, c in combo.items() if c != 0})
-    assert equal_by_evaluation(OpElement.jq(k), out, n_vars=2, deg_bound=2 * k + 2)
+    _verify_decomposition(k, out)
     return out
+
+
+def _verify_decomposition(k: int, out: OpElement):
+    if not equal_by_evaluation(OpElement.jq(k), out, n_vars=2, deg_bound=2 * k + 2):
+        raise VerificationError(f"decomposition of Jq{k} fails evaluation: {format_op(out)}")
 
 
 def binary_decompose(k: int) -> OpElement:
@@ -209,32 +213,27 @@ def binary_decompose(k: int) -> OpElement:
         raise IndecomposableError(f"the degree-{k} generator is not decomposable this way")
     words = binary_partition_words(k)
     mus = _pair_monomials(k)
-    lattice = linalg.Z2Lattice((w, _constraint_vector(w, mus)) for w in words)
-    combo = lattice.contains(_constraint_vector((k,), mus))
+    *cols, target = _constraint_vectors(words + [(k,)], mus)
+    combo = linalg.Z2Lattice(zip(words, cols)).contains(target)
     if combo is None:
         raise ResolutionFailedError(
             f"generator outside the 2-adic span of {len(words)} binary words at degree {k}"
         )
     out = OpElement(combo)
-    assert all(in_z2(c) for c in out.terms.values())
-    assert equal_by_evaluation(OpElement.jq(k), out, n_vars=2, deg_bound=2 * k + 2)
+    if not all(in_z2(c) for c in out.terms.values()):
+        raise VerificationError(f"binary decomposition of Jq{k} leaves Z_2: {format_op(out)}")
+    _verify_decomposition(k, out)
     return out
 
 
 def _evaluation_rows(element_words, n_vars, deg_bound):
     """Sparse evaluation vector of each word over a monomial test set."""
-    from .action import apply_word
-    from .poly import Polynomial, monomials_upto
-
-    rows = []
-    mus = [mu for mu in monomials_upto(n_vars, deg_bound) if sum(mu) >= 1]
-    for w in element_words:
-        vec = {}
-        for mi, mu in enumerate(mus):
-            img = apply_word(w, Polynomial.monomial(mu))
-            for exps, c in img.terms.items():
+    rows = [{} for _ in element_words]
+    mus = (mu for mu in monomials_upto(n_vars, deg_bound) if sum(mu) >= 1)
+    for mi, mu in enumerate(mus):
+        for vec, img in zip(rows, word_images(element_words, mu)):
+            for exps, c in img.items():
                 vec[(mi, exps)] = c
-        rows.append(vec)
     return rows
 
 
@@ -328,22 +327,10 @@ def _ore_attempt(theta, eta, wx, wy, n_vars, deg_bound):
 
 
 def _element_constraint_vector(e: OpElement, mus):
-    vec = {}
-    for i, c in enumerate(element_on_power(e)):
-        if c != 0:
-            vec[("m", i)] = c
-    from .action import apply_word
-    from .poly import Polynomial
-
+    vec = {("m", i): c for i, c in enumerate(element_on_power(e)) if c != 0}
     for mi, mu in enumerate(mus):
-        acc = {}
-        for w, coeff in e.terms.items():
-            img = apply_word(w, Polynomial.monomial(mu))
-            for exps, c in img.terms.items():
-                acc[exps] = acc.get(exps, Fraction(0)) + coeff * c
-        for exps, c in acc.items():
-            if c != 0:
-                vec[("e", mi, exps)] = c
+        for exps, c in element_image(e.terms, mu).items():
+            vec[("e", mi, exps)] = c
     return vec
 
 

@@ -19,6 +19,7 @@ from .errors import (
     NoSolutionError,
     ParseError,
     UnsupportedCoefficientsError,
+    VerificationError,
 )
 from . import linalg
 from .opalg import OpElement, eval_element, word_key
@@ -280,7 +281,8 @@ def geometric_inverse(k: int, f: Polynomial, order: int) -> TruncatedSeries:
     out = TruncatedSeries(1, order, total)
     back = Polynomial(1, out.terms)
     residual = back - apply_jq(k, back) - f
-    assert all(e[0] > order - k for e in residual.terms)
+    if not all(e[0] > order - k for e in residual.terms):
+        raise VerificationError(f"geometric inverse of Jq{k} fails its residual check")
     return out
 
 
@@ -382,7 +384,10 @@ def sode_solve(eq: Sode, xi0, a0, order: int) -> TruncatedSeries:
         raise NoSolutionError(0, "homogeneous equation admits only the zero series here")
     out = TruncatedSeries(1, order, {(n,): c for n, c in enumerate(coeffs)}, xi0)
     report = sode_residual(eq, out, order)
-    assert report.ok and report.verified_through >= order - eq.degree()
+    if not (report.ok and report.verified_through >= order - eq.degree()):
+        raise VerificationError(
+            f"series solution fails its residual check past degree {report.verified_through}"
+        )
     return out
 
 

@@ -1,0 +1,111 @@
+"""The integer evaluation kernel against the Polynomial path of the action."""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from jqforge.action import apply_word, element_image, monomial_image, word_images
+from jqforge.opalg import OpElement, eval_element
+from jqforge.poly import Polynomial
+from jqforge.relations import adem_nullspace
+
+ORACLE = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def words(draw, max_degree=6):
+    """A word of degree at most max_degree, the empty word included."""
+    budget = draw(st.integers(0, max_degree))
+    w = []
+    while budget:
+        k = draw(st.integers(1, budget))
+        w.append(k)
+        budget -= k
+    return tuple(w)
+
+
+monomials = st.integers(1, 3).flatmap(lambda n: st.tuples(*[st.integers(0, 4)] * n))
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@st.composite
+def word_lists(draw):
+    """Words plus left extensions of them, so that suffixes are shared."""
+    base = draw(st.lists(words(max_degree=4), min_size=1, max_size=4))
+    extended = [(draw(st.integers(1, 2)),) + w for w in base]
+    return draw(st.permutations(base + extended))
+
+
+# elements vanishing on one-variable powers: their images cancel there, and partly elsewhere
+RELATIONS = [e.terms for k in (3, 4) for e in adem_nullspace(k).elements()]
+
+
+@st.composite
+def elements(draw):
+    terms = dict(draw(st.dictionaries(words(), coefficients, max_size=4)))
+    if draw(st.booleans()):
+        scale = draw(coefficients)
+        for w, c in draw(st.sampled_from(RELATIONS)).items():
+            terms[w] = terms.get(w, Fraction(0)) + scale * c
+    return {w: c for w, c in terms.items() if c}
+
+
+def _expanded_image(k, mu):
+    """Degree-k piece of the product of (x_i + x_i^2)^e_i, by Polynomial arithmetic."""
+    n = len(mu)
+    total = Polynomial.constant(1, n)
+    for i, e in enumerate(mu):
+        x = Polynomial.variable(i + 1, n)
+        for _ in range(e):
+            total = total * (x + x * x)
+    return total.graded_part(sum(mu) + k).terms
+
+
+@ORACLE
+@given(st.integers(0, 6), monomials)
+def test_monomial_image_is_the_graded_piece_of_x_plus_x_squared(k, mu):
+    img = monomial_image(k, mu)
+    assert isinstance(img, tuple)
+    assert all(type(c) is int and c > 0 for _, c in img)
+    assert dict(img) == _expanded_image(k, mu)
+
+
+@ORACLE
+@given(word_lists(), monomials)
+def test_word_images_match_apply_word(ws, mu):
+    got = word_images(ws, mu)
+    assert len(got) == len(ws)
+    for w, img in zip(ws, got):
+        assert all(type(c) is int for c in img.values())
+        assert img == apply_word(w, Polynomial.monomial(mu)).terms
+
+
+@ORACLE
+@given(elements(), monomials)
+@example({(3,): 3, (2, 1): -6, (1, 2): 3, (1, 1, 1): 1}, (2,))
+@example({(3,): 3, (2, 1): -6, (1, 2): 3, (1, 1, 1): 1}, (1, 1))
+@example({(2,): Fraction(1, 3), (1, 1): Fraction(-1, 6)}, (2, 0, 1))
+def test_element_image_matches_eval_element(terms, mu):
+    got = element_image(terms, mu)
+    assert all(c != 0 for c in got.values())
+    assert got == eval_element(OpElement(terms), Polynomial.monomial(mu)).terms
+
+
+def test_relation_images_cancel_completely_on_one_variable():
+    for terms in RELATIONS:
+        for m in range(0, 8):
+            assert element_image(terms, (m,)) == {}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(word_lists(), elements(), monomials)
+def test_mutating_results_does_not_leak_into_later_calls(ws, terms, mu):
+    first = word_images(ws, mu)
+    for img in first:
+        img.clear()
+        img[(99,) * len(mu)] = 7
+    assert word_images(ws, mu) == [apply_word(w, Polynomial.monomial(mu)).terms for w in ws]
+    before = element_image(terms, mu)
+    element_image(terms, mu)[(99,) * len(mu)] = 7
+    assert element_image(terms, mu) == before
