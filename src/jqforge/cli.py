@@ -6,7 +6,9 @@ flags), and --json reports embed that config verbatim so results can be
 reproduced from the report alone.
 
 Exit codes: 0 success, 2 parse or usage error, 3 domain error,
-4 nothing found / no solution.
+4 nothing found / no solution, 5 a computed answer failed its own
+verification (VerificationError).  verify-paper exits 1 when the ledger
+has FAIL rows.
 """
 
 from __future__ import annotations
@@ -145,35 +147,17 @@ def _emit_json(args, command, payload):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _digit_lines(config, scalars):
-    """Digit strings for the fractional 2-adic units among scalars.
+def _digits(config, scalars):
+    """{scalar: digit string} for the fractional 2-adic units among scalars.
 
     Integer coefficients are left alone; values outside the dyadic
-    integers have no digit expansion at all.
+    integers have no digit expansion at all.  Keys come in increasing
+    order of value, the order of the text lines.
     """
     if config.digits <= 0:
-        return []
-    seen = []
-    for s in scalars:
-        s = Fraction(s)
-        if s.denominator == 1 or not in_z2(s):
-            continue
-        if s not in seen:
-            seen.append(s)
-    return [
-        f"digits {format_scalar(s)} = {two_adic_digits(s, config.digits)}"
-        for s in sorted(seen)
-    ]
-
-
-def _digit_obj(config, scalars):
-    lines = _digit_lines(config, scalars)
-    out = {}
-    for line in lines:
-        _, rest = line.split(" ", 1)
-        name, _, digs = rest.partition(" = ")
-        out[name] = digs
-    return out
+        return {}
+    units = {s for s in map(Fraction, scalars) if s.denominator != 1 and in_z2(s)}
+    return {format_scalar(s): two_adic_digits(s, config.digits) for s in sorted(units)}
 
 
 def _parse_scalar_arg(text, what):
@@ -206,20 +190,20 @@ def _cmd_act(args):
     f = parse_poly(args.poly, args.vars)
     e = parse_op(args.op)
     out = eval_element(e, f)
+    digits = _digits(args.config, out.terms.values())
     if args.json:
         payload = {
             "op": format_op(e),
             "input": format_poly(f),
             "result": format_poly(out),
         }
-        digits = _digit_obj(args.config, out.terms.values())
         if digits:
             payload["digits"] = digits
         _emit_json(args, "act", payload)
     else:
         print(format_poly(out))
-        for line in _digit_lines(args.config, out.terms.values()):
-            print(line)
+        for name, digs in digits.items():
+            print(f"digits {name} = {digs}")
     return 0
 
 
@@ -347,16 +331,16 @@ def _cmd_decompose(args):
         out = relations.binary_decompose(args.k)
     else:
         out = relations.q12_decompose(args.k)
+    digits = _digits(args.config, out.terms.values())
     if args.json:
         payload = {"k": args.k, "mode": args.mode, "result": format_op(out)}
-        digits = _digit_obj(args.config, out.terms.values())
         if digits:
             payload["digits"] = digits
         _emit_json(args, "decompose", payload)
     else:
         print(format_op(out))
-        for line in _digit_lines(args.config, out.terms.values()):
-            print(line)
+        for name, digs in digits.items():
+            print(f"digits {name} = {digs}")
     return 0
 
 

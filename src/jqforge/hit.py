@@ -182,44 +182,15 @@ def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:
 def classical_hit(f: Polynomial) -> bool:
     """Whether the mod-2 reduction of f is hit over the classical algebra.
 
-    Columns are the squaring operations applied to monomials, reduced to
-    bitmask rows; membership is plain elimination over F_2.
+    Columns are the squaring operations applied to monomials; f is hit
+    when some F_2 relation among the columns and f involves f itself.
     """
     d = _check_input(f)
-    target = frozenset(e for e, c in f.terms.items() if c.numerator % 2 == 1)
-    if not target:
-        return True
-    coords = {}
-
-    def mask(term_set):
-        m = 0
-        for e in term_set:
-            if e not in coords:
-                coords[e] = len(coords)
-            m |= 1 << coords[e]
-        return m
-
-    cols = []
-    for i in range(1, d):
-        for mu in monomials_upto(f.arity, d - i):
-            if sum(mu) != d - i:
-                continue
-            img = sq_on_f2(i, frozenset([mu]), f.arity)
-            if img:
-                cols.append(mask(img))
-    tmask = mask(target)
-    basis = {}
-    for r in cols:
-        while r:
-            lead = r & -r
-            if lead not in basis:
-                basis[lead] = r
-                break
-            r ^= basis[lead]
-    r = tmask
-    while r:
-        lead = r & -r
-        if lead not in basis:
-            return False
-        r ^= basis[lead]
-    return True
+    cols = [
+        sq_on_f2(i, frozenset([mu]), f.arity)
+        for i in range(1, d)
+        for mu in monomials_upto(f.arity, d - i)
+        if sum(mu) == d - i
+    ]
+    target = {e for e, c in f.terms.items() if c.numerator % 2 == 1}
+    return any(len(cols) in combo for combo in linalg.f2_row_nullspace(cols + [target]))

@@ -1,10 +1,21 @@
-"""Exact linear algebra used by the solver modules.
+"""Exact linear algebra: one elimination core per field.
 
-Three flavours live here: dense rational row reduction for small symbolic
-systems, sparse dict-keyed echelon forms with combination tracking for
-evaluation matrices, and a valuation-aware triangular form for deciding
-membership in lattices over the 2-adic integers.  Everything is Fraction
-arithmetic; nothing floats.
+Over Q, dense: `_gauss_jordan` is the one Gauss-Jordan loop, behind
+`rref` (and so `nullspace` and `rank`) and `solve_affine`.  It records
+where each row started, so an inconsistent system names the equation at
+fault by its input index.
+
+Over Q and Z_(2), sparse: rows are dicts keyed by orderable column ids,
+and each row carries its combination over the tags of the original rows.
+`_sub` is the one row operation, applied alike to rows and combinations.
+The two echelons differ only in their pivot rule: `SparseEchelon` is
+incremental and pivots on the least column; `Z2Lattice` works in batch
+and pivots on the least (2-adic valuation, column) over the whole pool,
+so that every multiplier lies in Z_(2) and the lattice is kept exactly.
+
+Over F_2: `f2_row_nullspace`, an echelon on bitmasks.
+
+Everything is Fraction or int arithmetic; nothing floats.
 """
 
 from __future__ import annotations
@@ -18,12 +29,13 @@ from .scalar2 import v2
 # -- dense rational ---------------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new rows, pivot column list)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _gauss_jordan(mat, ncols):
+    """Reduce the first ncols columns of mat in place.
+
+    Returns (pivot columns, order), where order[i] is the original index
+    of the row that ends at position i.
+    """
+    order = list(range(len(mat)))
     pivots = []
     r = 0
     for c in range(ncols):
@@ -31,6 +43,7 @@ def rref(rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
+        order[r], order[pr] = order[pr], order[r]
         inv = 1 / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
@@ -41,7 +54,16 @@ def rref(rows):
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return pivots, order
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (new rows, pivot column list)."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    pivots, _ = _gauss_jordan(mat, len(mat[0]))
+    return mat[: len(pivots)], pivots
 
 
 def nullspace(rows, ncols):
@@ -91,27 +113,8 @@ def solve_affine(rows, rhs):
         return [], None
     ncols = len(rows[0])
     aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    # remember original row identity through the elimination
-    order = list(range(len(aug)))
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        order[r], order[pr] = order[pr], order[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
+    pivots, order = _gauss_jordan(aug, ncols)
+    for i in range(len(pivots), len(aug)):
         if aug[i][ncols] != 0:
             return None, order[i]
     x = [Fraction(0)] * ncols
@@ -120,7 +123,21 @@ def solve_affine(rows, rhs):
     return x, None
 
 
-# -- sparse echelon over Q --------------------------------------------
+# -- sparse rows: dicts keyed by column, over Q and Z_(2) --------------
+
+
+def _sub(row, lam, other):
+    """row -= lam * other on dict rows, in place, dropping the zeros."""
+    for k, v in other.items():
+        nv = row.get(k, 0) - lam * v
+        if nv == 0:
+            row.pop(k, None)
+        else:
+            row[k] = nv
+
+
+def _nonzero(row):
+    return {k: Fraction(v) for k, v in row.items() if v != 0}
 
 
 class SparseEchelon:
@@ -135,7 +152,7 @@ class SparseEchelon:
 
     def reduce(self, row):
         """Reduce a dict row; returns (residual, combination over original tags)."""
-        row = {k: Fraction(v) for k, v in row.items() if v != 0}
+        row = _nonzero(row)
         used = {}
         while row:
             p = min(row)
@@ -144,18 +161,8 @@ class SparseEchelon:
                 break
             erow, ecombo = entry
             lam = row[p] / erow[p]
-            for k, v in erow.items():
-                nv = row.get(k, Fraction(0)) - lam * v
-                if nv == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
-            for t, v in ecombo.items():
-                nv = used.get(t, Fraction(0)) + lam * v
-                if nv == 0:
-                    used.pop(t, None)
-                else:
-                    used[t] = nv
+            _sub(row, lam, erow)
+            _sub(used, -lam, ecombo)
         return row, used
 
     def insert(self, row, tag):
@@ -164,12 +171,7 @@ class SparseEchelon:
         if not residual:
             return False
         combo = {tag: Fraction(1)}
-        for t, v in used.items():
-            nv = combo.get(t, Fraction(0)) - v
-            if nv == 0:
-                combo.pop(t, None)
-            else:
-                combo[t] = nv
+        _sub(combo, 1, used)
         self.rows[min(residual)] = (residual, combo)
         return True
 
@@ -200,7 +202,7 @@ class Z2Lattice:
     def __init__(self, generators):
         pool = []
         for tag, row in generators:
-            row = {k: Fraction(v) for k, v in row.items() if v != 0}
+            row = _nonzero(row)
             if row:
                 pool.append((row, {tag: Fraction(1)}))
         self.basis = []
@@ -219,18 +221,8 @@ class Z2Lattice:
                 val = row.get(pos)
                 if val is not None:
                     lam = val / piv
-                    for k, v in brow.items():
-                        nv = row.get(k, Fraction(0)) - lam * v
-                        if nv == 0:
-                            row.pop(k, None)
-                        else:
-                            row[k] = nv
-                    for t, v in bcombo.items():
-                        nv = combo.get(t, Fraction(0)) - lam * v
-                        if nv == 0:
-                            combo.pop(t, None)
-                        else:
-                            combo[t] = nv
+                    _sub(row, lam, brow)
+                    _sub(combo, lam, bcombo)
                 if row:
                     nxt.append((row, combo))
             pool = nxt
@@ -242,7 +234,7 @@ class Z2Lattice:
         Works down the triangular basis; a multiplier of negative valuation
         or a nonzero residual means the target is outside the lattice.
         """
-        t = {k: Fraction(v) for k, v in target.items() if v != 0}
+        t = _nonzero(target)
         coeffs = {}
         for pos, brow, bcombo in self.basis:
             val = t.get(pos)
@@ -251,45 +243,39 @@ class Z2Lattice:
             lam = val / brow[pos]
             if v2(lam) < 0:
                 return None
-            for k, v in brow.items():
-                nv = t.get(k, Fraction(0)) - lam * v
-                if nv == 0:
-                    t.pop(k, None)
-                else:
-                    t[k] = nv
-            for tag, v in bcombo.items():
-                nv = coeffs.get(tag, Fraction(0)) + lam * v
-                if nv == 0:
-                    coeffs.pop(tag, None)
-                else:
-                    coeffs[tag] = nv
+            _sub(t, lam, brow)
+            _sub(coeffs, -lam, bcombo)
         if t:
             return None
         return coeffs
 
 
-# -- F_2 rows as bitmasks ---------------------------------------------
+# -- F_2 --------------------------------------------------------------
 
 
 def f2_row_nullspace(rows):
-    """Left-kernel combinations of F_2 rows given as integer bitmasks.
+    """Left-kernel combinations of F_2 rows, each a set of sortable column keys.
 
-    Returns a list of bitmasks over row indices; each marks a subset of
-    rows XORing to zero.
+    Columns are numbered in sorted key order.  Returns one list of row
+    indices, ascending, per row that reduces to zero against the rows
+    before it; each marks a subset of rows summing to zero.
     """
+    index = {k: i for i, k in enumerate(sorted({k for row in rows for k in row}))}
     basis = {}
     null = []
-    for i, r in enumerate(rows):
+    for i, keys in enumerate(rows):
+        r = 0
+        for k in keys:
+            r |= 1 << index[k]
         combo = 1 << i
         while r:
             lead = r & -r
             if lead not in basis:
                 basis[lead] = (r, combo)
-                combo = None
                 break
             br, bc = basis[lead]
             r ^= br
             combo ^= bc
-        if combo is not None and r == 0:
-            null.append(combo)
+        if r == 0:
+            null.append([j for j in range(i + 1) if combo >> j & 1])
     return null

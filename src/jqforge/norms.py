@@ -116,24 +116,8 @@ def _kernel_lattice_generators(b: int):
     words = words_of_degree(b)
     gens = [OpElement({w: Fraction(2)}) for w in words]
     images = [admissible_form(w) for w in words]
-    keys = sorted({cw for img in images for cw in img})
-    index = {cw: i for i, cw in enumerate(keys)}
-    masks = []
-    for img in images:
-        m = 0
-        for cw in img:
-            m |= 1 << index[cw]
-        masks.append(m)
-    for combo in linalg.f2_row_nullspace(masks):
-        terms = {}
-        i = 0
-        while combo:
-            if combo & 1:
-                terms[words[i]] = Fraction(1)
-            combo >>= 1
-            i += 1
-        if terms:
-            gens.append(OpElement(terms))
+    for combo in linalg.f2_row_nullspace(images):
+        gens.append(OpElement({words[i]: Fraction(1) for i in combo}))
     return gens
 
 

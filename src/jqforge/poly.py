@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalar2 import format_scalar, parse_scalar, v2, valuation_and_abs
+from .scalar2 import format_scalar, parse_scalar, valuation_and_abs
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -153,10 +153,6 @@ class Polynomial:
             if a > best:
                 best = a
         return best
-
-    def min_valuation(self):
-        """Smallest coefficient valuation; inf for zero."""
-        return min((v2(c) for c in self.terms.values()), default=float("inf"))
 
 
 def _term_sort_key(exps):

@@ -1,0 +1,166 @@
+"""The exact elimination core: dense Gauss-Jordan, sparse echelons over Q and Z_(2), F_2."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jqforge import linalg
+from jqforge.scalar2 import in_z2, v2
+
+PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
+
+# mostly zeros, so that pivots are missing and rows must be swapped
+entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5)])
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5):
+    """Rows over a small alphabet, plus rows that repeat a combination of earlier ones."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=max_rows))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        lam = draw(entries)
+        rows.append([x + lam * y for x, y in zip(rows[a], rows[b])])
+    rows = draw(st.permutations(rows))
+    return [list(map(Fraction, r)) for r in rows], ncols
+
+
+def _mul(rows, v):
+    return [sum(a * x for a, x in zip(r, v)) for r in rows]
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_vectors_are_killed_and_count_the_free_columns(m):
+    rows, ncols = m
+    basis = linalg.nullspace(rows, ncols)
+    assert all(_mul(rows, v) == [0] * len(rows) for v in basis)
+    assert len(basis) == ncols - linalg.rank(rows)
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_is_reduced(m):
+    rows, ncols = m
+    red, pivots = linalg.rref(rows)
+    assert len(red) == len(pivots) and pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(red, pivots)):
+        assert row[c] == 1
+        assert all(other[c] == 0 for j, other in enumerate(red) if j != i)
+
+
+@PROPERTY
+@given(matrices(), st.lists(entries, min_size=8, max_size=8))
+def test_solve_affine_solves_exactly_the_consistent_systems(m, b):
+    rows, ncols = m
+    rhs = list(map(Fraction, b[: len(rows)] + [0] * (len(rows) - len(b))))
+    sol, bad = linalg.solve_affine(rows, rhs)
+    consistent = linalg.rank([r + [c] for r, c in zip(rows, rhs)]) == linalg.rank(rows)
+    assert (sol is not None) == consistent
+    if sol is None:
+        assert 0 <= bad < len(rows)
+    else:
+        assert bad is None and _mul(rows, sol) == rhs
+
+
+def test_solve_affine_inconsistent_index_survives_row_swaps():
+    # the reported index is the equation's position in the input, not after pivoting
+    cases = [
+        ([[0, 1], [1, 0], [1, 1]], [1, 1, 3], 2),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], [1, 1, 1, 0], 3),
+        ([[0, 1], [1, 1], [0, 2], [1, 0]], [1, 1, 3, 0], 2),
+        ([[0, 0], [0, 1], [0, 2]], [0, 1, 1], 2),
+        ([[0, 0], [1, 0]], [1, 0], 0),
+        ([[0, 0], [1, 0], [0, 1]], [1, 0, 0], 0),
+    ]
+    for rows, rhs, index in cases:
+        assert linalg.solve_affine(rows, rhs) == (None, index)
+
+
+sparse_rows = st.dictionaries(st.integers(0, 5), entries.filter(bool), max_size=4)
+generator_lists = st.lists(sparse_rows, min_size=1, max_size=6)
+
+
+def _combine(gens, combo):
+    """sum of combo[tag] * gens[tag] as a dict row without zeros."""
+    total = {}
+    for tag, c in combo.items():
+        for k, v in gens[tag].items():
+            total[k] = total.get(k, 0) + c * v
+    return {k: v for k, v in total.items() if v != 0}
+
+
+def _nonzero(row):
+    return {k: Fraction(v) for k, v in row.items() if v != 0}
+
+
+@PROPERTY
+@given(generator_lists, st.lists(entries, min_size=6, max_size=6), sparse_rows)
+def test_sparse_echelon_membership_rebuilds_its_target(gens, coeffs, other):
+    ech = linalg.SparseEchelon()
+    for tag, row in enumerate(gens):
+        ech.insert(row, tag)
+    member = _combine(gens, dict(enumerate(coeffs[: len(gens)])))
+    for target in (member, other):
+        combo = ech.membership(target)
+        if combo is not None:
+            assert _combine(gens, combo) == _nonzero(target)
+    assert ech.membership(member) is not None
+
+
+z2_units = st.sampled_from([1, -1, 3, Fraction(1, 3), Fraction(-5, 7)])
+z2_scalars = st.sampled_from([0, 1, -1, 2, 3, 4, Fraction(1, 3), Fraction(6, 5)])
+
+
+@PROPERTY
+@given(generator_lists, st.lists(z2_scalars, min_size=6, max_size=6), sparse_rows)
+def test_z2_lattice_contains_rebuilds_its_target_with_z2_coefficients(gens, coeffs, other):
+    lattice = linalg.Z2Lattice(enumerate(gens))
+    member = _combine(gens, dict(enumerate(coeffs[: len(gens)])))
+    for target in (member, other):
+        combo = lattice.contains(target)
+        if combo is not None:
+            assert all(in_z2(c) for c in combo.values())
+            assert _combine(gens, combo) == _nonzero(target)
+    assert lattice.contains(member) is not None
+
+
+@PROPERTY
+@given(st.lists(entries, min_size=1, max_size=5), entries.filter(bool), z2_units)
+def test_z2_lattice_in_one_column_is_decided_by_least_valuation(column, t, unit):
+    lattice = linalg.Z2Lattice((i, {0: a}) for i, a in enumerate(column))
+    nonzero = [a for a in column if a != 0]
+    expect = bool(nonzero) and v2(Fraction(t)) >= min(v2(Fraction(a)) for a in nonzero)
+    assert (lattice.contains({0: t}) is not None) == expect
+    # a unit multiple of a generator is always inside
+    if nonzero:
+        assert lattice.contains({0: unit * nonzero[0]}) is not None
+
+
+f2_rows = st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=4), max_size=8)
+
+
+def _f2_sum(rows, combo):
+    total = set()
+    for i in combo:
+        total ^= rows[i]
+    return total
+
+
+@PROPERTY
+@given(f2_rows)
+def test_f2_row_nullspace_is_a_basis_of_the_zero_sums(rows):
+    null = linalg.f2_row_nullspace(rows)
+    for combo in null:
+        assert combo and _f2_sum(rows, combo) == set()
+    # the kernel has 2^dim elements: count the zero-sum subsets directly
+    zero_sums = sum(
+        1
+        for size in range(len(rows) + 1)
+        for subset in combinations(range(len(rows)), size)
+        if _f2_sum(rows, subset) == set()
+    )
+    assert zero_sums == 2 ** len(null)
