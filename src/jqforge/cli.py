@@ -7,8 +7,10 @@ reproduced from the report alone.
 
 Exit codes: 0 success, 2 parse or usage error, 3 domain error,
 4 nothing found / no solution, 5 a computed answer failed its own
-verification (VerificationError).  verify-paper exits 1 when the ledger
-has FAIL rows.
+verification (VerificationError), 70 internal error: any other exception,
+reported as one "internal error: <Type>: <message>" line on stderr (70 is
+EX_SOFTWARE in sysexits.h).  verify-paper exits 1 when the ledger has
+FAIL rows.
 """
 
 from __future__ import annotations
@@ -307,8 +309,8 @@ def _cmd_cohit(args):
 def _cmd_ore(args):
     theta = parse_op(args.theta)
     eta = parse_op(args.eta)
-    cfg = args.config
-    x, y = relations.ore_solve(theta, eta, n_vars=min(cfg.n_vars, 3), deg_bound=None)
+    n_vars = min(args.config.n_vars, 3)
+    x, y = relations.ore_solve(theta, eta, n_vars=n_vars, deg_bound=None)
     if args.json:
         _emit_json(
             args,
@@ -318,6 +320,7 @@ def _cmd_ore(args):
                 "eta": format_op(eta),
                 "x": format_op(x),
                 "y": format_op(y),
+                "bounds": {"nVars": n_vars},
             },
         )
     else:
@@ -569,6 +572,9 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except Exception as exc:  # a fault in the program, kept apart from verify-paper's exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: ParseError -> 2, domain errors -> 3,
 the "no answer exists" pair NotFoundError / NoSolutionError -> 4, and
 VerificationError -> 5 (an answer was computed but failed its own check,
-which is a fault in the program, not in the input).
+which is a fault in the program, not in the input).  Any other exception
+reaching the CLI is an internal error, exit 70.
 """
 
 

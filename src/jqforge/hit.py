@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .action import apply_jq, monomial_image, word_images
 from .errors import DomainError, VerificationError
@@ -59,7 +58,7 @@ def min_hit_valuation(d: int) -> object:
     for i in range(1, d):
         c = binom(d - i, i)
         if c:
-            v = v2(Fraction(c))
+            v = v2(c)
             if v < best:
                 best = v
     return best

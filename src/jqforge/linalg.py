@@ -8,10 +8,10 @@ fault by its input index.
 Over Q and Z_(2), sparse: rows are dicts keyed by orderable column ids,
 and each row carries its combination over the tags of the original rows.
 `_sub` is the one row operation, applied alike to rows and combinations.
-The two echelons differ only in their pivot rule: `SparseEchelon` is
-incremental and pivots on the least column; `Z2Lattice` works in batch
-and pivots on the least (2-adic valuation, column) over the whole pool,
-so that every multiplier lies in Z_(2) and the lattice is kept exactly.
+`SparseEchelon` is incremental, on Fractions, and pivots on the least
+column.  `Z2Lattice` works in batch, fraction-free on int rows, and
+pivots on the least (2-adic valuation, column) over the whole pool, so
+that every step is invertible over Z_(2) and the lattice is kept exactly.
 
 Over F_2: `f2_row_nullspace`, an echelon on bitmasks.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalar2 import v2
+from .scalar2 import v2, v2_int
 
 
 # -- dense rational ---------------------------------------------------
@@ -190,49 +190,98 @@ class SparseEchelon:
 # -- 2-adic lattices --------------------------------------------------
 
 
+def _pivot_key(row):
+    """Least (2-adic valuation, column) over the entries of a nonzero int row."""
+    v = v2_int(gcd(*row.values()))
+    return v, min(k for k, x in row.items() if x >> v & 1)
+
+
+def _unit_sub(row, combo, u, a, brow, bcombo):
+    """row <- u*row - a*brow for odd u, alike on the combinations, in place.
+
+    Common odd factors are divided out, before the step from (u, a) and
+    after it from the row and combination together, all units of Z_(2).
+    """
+    g = gcd(u, a)
+    u, a = u // g, a // g
+    if u < 0:
+        u, a = -u, -a
+    if u != 1:
+        for k in row:
+            row[k] *= u
+        for k in combo:
+            combo[k] *= u
+    _sub(row, a, brow)
+    _sub(combo, a, bcombo)
+    if not row:
+        return
+    g = gcd(*row.values(), *combo.values())
+    g >>= v2_int(g)
+    if g != 1:
+        for k in row:
+            row[k] //= g
+        for k in combo:
+            combo[k] //= g
+
+
 class Z2Lattice:
     """Span of generator rows over the 2-adic integers, with membership tests.
 
-    Construction extracts a triangular basis using only transformations
-    invertible over Z_2: at each step the entry of globally minimal
-    valuation becomes a pivot, so elimination multipliers always have
-    nonnegative valuation and the lattice is preserved exactly.
+    Construction is fraction-free.  Rows are scaled once to ints: all by
+    2^T, T the largest 2-adic valuation of a row's denominator lcm, and
+    each by the odd part of its own lcm, which starts its combination.
+    The pivot p = 2^v*u (u odd) is the entry of least (valuation, column),
+    ties to the earliest row, read from a key each row caches and
+    recomputes only when a step changes it.  Every other entry a in the
+    pivot column has a >> v exact, and row <- u*row - (a >> v)*pivot row
+    multiplies the row by a unit of Z_(2), as does dividing a row and its
+    combination by the odd part of their gcd: lattice and pivot order are
+    those of elimination over Fractions.
+
+    `basis` lists (column, row, combination) in pivot order.  Each row is
+    a unit multiple of the row elimination over Fractions gives, in the
+    generators' own scale (ints when T = 0, as for integral rows); the
+    combinations have int coefficients over the original tags.
     """
 
     def __init__(self, generators):
-        pool = []
+        rows = []
         for tag, row in generators:
-            row = _nonzero(row)
+            row = {k: v for k, v in row.items() if v != 0}
             if row:
-                pool.append((row, {tag: Fraction(1)}))
+                rows.append((tag, row, lcm(*(v.denominator for v in row.values()))))
+        top = max((v2_int(den) for _, _, den in rows), default=0)
+        pool = []
+        for tag, row, den in rows:
+            odd = den >> v2_int(den)
+            scale = odd << top
+            row = {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
+            pool.append([_pivot_key(row), row, {tag: odd}])
         self.basis = []
         while pool:
-            best = None
-            for i, (row, _) in enumerate(pool):
-                for pos, val in row.items():
-                    key = (v2(val), pos)
-                    if best is None or key < best[0]:
-                        best = (key, i, pos)
-            _, i, pos = best
-            brow, bcombo = pool.pop(i)
-            piv = brow[pos]
-            nxt = []
-            for row, combo in pool:
-                val = row.get(pos)
-                if val is not None:
-                    lam = val / piv
-                    _sub(row, lam, brow)
-                    _sub(combo, lam, bcombo)
-                if row:
-                    nxt.append((row, combo))
-            pool = nxt
+            i = min(range(len(pool)), key=lambda j: pool[j][0])
+            (v, pos), brow, bcombo = pool.pop(i)
+            unit = brow[pos] >> v
+            for entry in pool:
+                _, row, combo = entry
+                a = row.get(pos)
+                if a is not None:
+                    _unit_sub(row, combo, unit, a >> v, brow, bcombo)
+                    if row:
+                        entry[0] = _pivot_key(row)
+            pool = [entry for entry in pool if entry[1]]
+            if top:
+                brow = {k: Fraction(x, 1 << top) for k, x in brow.items()}
             self.basis.append((pos, brow, bcombo))
 
     def contains(self, target):
         """Z_2 coefficients over the original generator tags, or None.
 
-        Works down the triangular basis; a multiplier of negative valuation
-        or a nonzero residual means the target is outside the lattice.
+        Works down the triangular basis on Fractions; a multiplier of
+        negative valuation or a nonzero residual means the target is
+        outside the lattice.  A unit multiple of a basis row and its
+        combination divides the multiplier by the same unit, so the
+        coefficients do not depend on that scaling.
         """
         t = _nonzero(target)
         coeffs = {}

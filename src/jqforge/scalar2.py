@@ -1,9 +1,10 @@
 """Rational scalars through a 2-adic lens.
 
 Scalars are plain fractions.Fraction values.  This module supplies the
-2-adic valuation and absolute value, the ring-of-integers test (odd
-denominator), reduction mod 2, binomial coefficients, and the rational
-parse/format pair used by every grammar in the package.
+2-adic valuation (the exact sentinel INF for zero) and absolute value,
+the ring-of-integers test (odd denominator), reduction mod 2, binomial
+coefficients, and the rational parse/format pair used by every grammar
+in the package.
 """
 
 from __future__ import annotations
@@ -11,10 +12,33 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import total_ordering
+from numbers import Rational
 
 from .errors import DomainError, NotInZ2Error, ParseError
 
-INF = math.inf
+
+@total_ordering
+class _Infinity:
+    """The valuation of zero: above every rational, equal only to itself.
+
+    An exact sentinel in place of the float infinity, so that no float
+    enters a valuation.  Equality is the default identity; ordering
+    against anything but a rational or itself raises TypeError.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "INF"
+
+    def __lt__(self, other):
+        if other is self or isinstance(other, Rational):
+            return False
+        return NotImplemented
+
+
+INF = _Infinity()
 
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*(\d+))?$")
 
@@ -26,20 +50,23 @@ def v2_int(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def valuation_and_abs(r) -> tuple:
-    """Return (v, |r|_2).  Zero maps to (inf, Fraction(0))."""
-    r = Fraction(r)
+def v2(r):
+    """2-adic valuation; INF for zero.  Ints and Fractions are read as they are."""
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
     if r == 0:
+        return INF
+    return v2_int(r.numerator) - v2_int(r.denominator)
+
+
+def valuation_and_abs(r) -> tuple:
+    """Return (v, |r|_2).  Zero maps to (INF, Fraction(0))."""
+    v = v2(r)
+    if v is INF:
         return INF, Fraction(0)
-    v = v2_int(r.numerator) - v2_int(r.denominator)
     if v >= 0:
         return v, Fraction(1, 1 << v)
     return v, Fraction(1 << (-v))
-
-
-def v2(r):
-    """2-adic valuation; inf for zero."""
-    return valuation_and_abs(r)[0]
 
 
 def two_adic_abs(r) -> Fraction:

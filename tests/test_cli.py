@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from jqforge import cli
 from jqforge.cli import main
 
 
@@ -216,6 +217,14 @@ def test_ore_pair_prints_both_factors(capsys):
     assert lines[1].startswith("y = ")
 
 
+def test_ore_json_reports_the_clamped_variable_count(capsys):
+    # the search runs on at most 3 variables, whatever nVars asks for
+    for flags, used in (([], 3), (["--nvars", "2"], 2), (["--nvars", "5"], 3)):
+        rc, out, _ = run(capsys, "ore", "--theta", "Jq1", "--eta", "Jq2", "--json", *flags)
+        assert rc == 0
+        assert json.loads(out)["bounds"] == {"nVars": used}
+
+
 def test_parse_error_exit_2(capsys):
     rc, _, err = run(capsys, "act", "--op", "Jq1 +", "--poly", "x1", "--vars", "1")
     assert rc == 2
@@ -226,6 +235,16 @@ def test_domain_error_exit_3(capsys):
     rc, _, err = run(capsys, "cohit", "--d", "0")
     assert rc == 3
     assert "error:" in err
+
+
+def test_internal_error_exit_70_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_cohit", broken)
+    rc, out, err = run(capsys, "cohit", "--d", "3")
+    assert (rc, out) == (70, "")
+    assert err == "internal error: KeyError: 'lost'\n"
 
 
 def test_unknown_flag_exit_2_with_usage(capsys):

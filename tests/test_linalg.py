@@ -164,3 +164,116 @@ def test_f2_row_nullspace_is_a_basis_of_the_zero_sums(rows):
         if _f2_sum(rows, subset) == set()
     )
     assert zero_sums == 2 ** len(null)
+
+
+def _fraction_sub(row, lam, other):
+    for k, v in other.items():
+        nv = row.get(k, 0) - lam * v
+        if nv == 0:
+            row.pop(k, None)
+        else:
+            row[k] = nv
+
+
+class _FractionZ2Lattice:
+    """The Fraction elimination that `Z2Lattice` replaced, kept as its oracle.
+
+    It rescans the whole pool for the least (valuation, column) entry at
+    every step and divides by the pivot, so rows and combinations are
+    Fractions.
+    """
+
+    def __init__(self, generators):
+        pool = []
+        for tag, row in generators:
+            row = _nonzero(row)
+            if row:
+                pool.append((row, {tag: Fraction(1)}))
+        self.basis = []
+        while pool:
+            best = None
+            for i, (row, _) in enumerate(pool):
+                for pos, val in row.items():
+                    key = (v2(val), pos)
+                    if best is None or key < best[0]:
+                        best = (key, i, pos)
+            _, i, pos = best
+            brow, bcombo = pool.pop(i)
+            piv = brow[pos]
+            nxt = []
+            for row, combo in pool:
+                val = row.get(pos)
+                if val is not None:
+                    lam = val / piv
+                    _fraction_sub(row, lam, brow)
+                    _fraction_sub(combo, lam, bcombo)
+                if row:
+                    nxt.append((row, combo))
+            pool = nxt
+            self.basis.append((pos, brow, bcombo))
+
+    def contains(self, target):
+        t = _nonzero(target)
+        coeffs = {}
+        for pos, brow, bcombo in self.basis:
+            val = t.get(pos)
+            if val is None:
+                continue
+            lam = val / brow[pos]
+            if v2(lam) < 0:
+                return None
+            _fraction_sub(t, lam, brow)
+            _fraction_sub(coeffs, -lam, bcombo)
+        if t:
+            return None
+        return coeffs
+
+
+lattice_ints = st.sampled_from([1, -1, 2, -2, 3, 4, -6, 8, 12, -16, 24])
+lattice_entries = st.one_of(
+    lattice_ints,
+    st.sampled_from([Fraction(1, 3), Fraction(-2, 5), Fraction(4, 7), Fraction(6, 15)]),
+    st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8), Fraction(1, 6)]),
+)
+
+
+@st.composite
+def lattice_generators(draw):
+    """Rows with int entries and, unless drawn integral, odd and even denominators.
+
+    Unit multiples and doubles of earlier rows tie their (valuation, column)
+    keys with those rows, so the earliest-row tie rule is exercised.
+    """
+    entry = lattice_ints if draw(st.booleans()) else lattice_entries
+    row = st.dictionaries(st.integers(0, 5), entry, min_size=1, max_size=4)
+    gens = draw(st.lists(row, min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        base = gens[draw(st.integers(0, len(gens) - 1))]
+        lam = draw(st.sampled_from([-1, 3, Fraction(5, 3), 2, -4]))
+        gens.append({k: lam * v for k, v in base.items()})
+    return list(enumerate(draw(st.permutations(gens))))
+
+
+@PROPERTY
+@given(lattice_generators(), st.lists(z2_scalars, min_size=10, max_size=10), sparse_rows)
+def test_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
+    lattice, oracle = linalg.Z2Lattice(gens), _FractionZ2Lattice(gens)
+    rows = dict(gens)
+    member = _combine(rows, dict(zip(rows, coeffs)))
+    for target in (member, {k: v / 2 for k, v in member.items()}, other):
+        got, want = lattice.contains(target), oracle.contains(target)
+        # the same coefficients, in the same order and of the same type
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [(k, type(c), c) for k, c in got.items()] == [(k, type(c), c) for k, c in want.items()]
+    assert [pos for pos, _, _ in lattice.basis] == [pos for pos, _, _ in oracle.basis]
+    odd_denominators = all(v.denominator % 2 for _, row in gens for v in row.values())
+    for (pos, row, combo), (_, orow, ocombo) in zip(lattice.basis, oracle.basis):
+        unit = row[pos] / orow[pos]
+        assert v2(unit) == 0
+        assert row == {k: unit * v for k, v in orow.items()}
+        assert combo == {k: unit * v for k, v in ocombo.items()}
+        # the elimination runs on ints: combinations always, rows when no denominator is even
+        assert all(type(c) is int for c in combo.values())
+        if odd_denominators:
+            assert all(type(x) is int for x in row.values())

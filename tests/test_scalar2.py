@@ -1,17 +1,37 @@
-import math
+import json
 from fractions import Fraction
 
 import pytest
 
 from jqforge.errors import DomainError, NotInZ2Error, ParseError
 from jqforge import scalar2
+from jqforge.hit import cohit_order, min_hit_valuation
+from jqforge.norms import adem_valuation, operator_norm_estimate
+from jqforge.opalg import OpElement
 
 
 def test_valuation_and_abs_basic():
     assert scalar2.valuation_and_abs(24) == (3, Fraction(1, 8))
     assert scalar2.valuation_and_abs(Fraction(1, 3)) == (0, Fraction(1))
-    assert scalar2.valuation_and_abs(0) == (math.inf, Fraction(0))
+    assert scalar2.valuation_and_abs(0) == (scalar2.INF, Fraction(0))
     assert scalar2.valuation_and_abs(Fraction(3, 4)) == (-2, Fraction(4))
+    assert scalar2.valuation_and_abs(-48) == (4, Fraction(1, 16))
+    assert scalar2.valuation_and_abs("5/12") == (-2, Fraction(4))
+
+
+def test_infinite_valuations_are_exact_not_float():
+    INF = scalar2.INF
+    reports = [adem_valuation(OpElement.zero()), operator_norm_estimate(OpElement.zero(), 1, 2)]
+    values = [scalar2.v2(0), cohit_order(1), min_hit_valuation(1)] + [r.value for r in reports]
+    assert all(v is INF and not isinstance(v, float) for v in values)
+    for r in reports:
+        assert json.loads(r.to_json())["value"] == "inf" and r.norm == 0
+    # ordered above every rational, equal only to itself
+    assert sorted([INF, 10**100, Fraction(-1, 3), 0]) == [Fraction(-1, 3), 0, 10**100, INF]
+    assert min(INF, 7) == 7 and INF <= INF and not INF < INF and not INF > INF
+    assert INF == INF and INF != 10**100 and INF != float("inf")
+    with pytest.raises(TypeError):
+        INF < 1.5
 
 
 def test_valuation_multiplicative():
