@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .action import apply_jq
-from .hit import hit_decide_graded, min_hit_valuation
+from .hit import hit_decide_graded
 from .norms import adem_valuation, degree_norm, operator_norm_estimate
 from .opalg import (
     OpElement,

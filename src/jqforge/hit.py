@@ -10,7 +10,6 @@ re-verified before being handed back.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .action import apply_jq, monomial_image, word_images
@@ -37,13 +36,6 @@ class HitCertificate:
             {"k": k, "cofactor": format_poly(cof)}
             for k, cof in sorted(self.pairs, key=lambda p: p[0])
         ]
-
-
-def decision_json(hit: bool, certificate=None) -> str:
-    payload = {"hit": hit}
-    if hit and certificate is not None:
-        payload["witness"] = certificate.witness_json()
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def min_hit_valuation(d: int) -> object:

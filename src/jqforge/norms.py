@@ -10,7 +10,6 @@ and, when available, a witness that re-verifies the value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,21 +45,20 @@ class ValuationReport:
             return Fraction(1, 2 ** self.value)
         return Fraction(2 ** (-self.value))
 
-    def to_json(self) -> str:
+    def json_obj(self):
         if self.witness is None:
             wit = None
         elif isinstance(self.witness, OpElement):
             wit = format_op(self.witness)
         else:
             wit = str(self.witness)
-        payload = {
+        return {
             "value": "inf" if self.value == INF else self.value,
             "norm": str(self.norm),
             "method": self.method,
             "bounds": self.bounds,
             "witness": wit,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _symbolic_element_vector(e: OpElement):

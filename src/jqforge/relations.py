@@ -12,7 +12,6 @@ returned.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -94,14 +93,13 @@ class RelationBasis:
             for vec in self.basis
         ]
 
-    def to_json(self) -> str:
-        payload = {
+    def json_obj(self):
+        return {
             "degree": self.degree,
             "words": [format_word(w) for w in self.words],
             "basis": [[str(c) for c in vec] for vec in self.basis],
             "bounds": self.bounds,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _symbolic_matrix(words):

@@ -170,17 +170,35 @@ class TruncatedSeries:
             order = obj["order"]
         except (KeyError, TypeError):
             raise ParseError("series JSON needs 'order' and 'terms'") from None
+        if not isinstance(raw, dict):
+            raise ParseError("series 'terms' must be an object")
+        if not _is_count(order):
+            raise ParseError(f"series 'order' must be a nonnegative integer, not {order!r}")
         center = obj.get("center")
         if center is not None:
+            if not isinstance(center, str):
+                raise ParseError(f"series 'center' must be a string or null, not {center!r}")
             center = parse_scalar(center)
-        terms = {}
         arity = obj.get("arity")
+        if arity is not None and not _is_count(arity):
+            raise ParseError(f"series 'arity' must be a nonnegative integer, not {arity!r}")
+        terms = {}
         for key, val in raw.items():
-            exps = tuple(int(p) for p in str(key).split(","))
+            parts = key.split(",")
+            if not all(p.isascii() and p.isdigit() for p in parts):
+                raise ParseError(f"bad series exponent key {key!r}")
+            if not isinstance(val, str):
+                raise ParseError(f"series coefficient of {key!r} must be a string, not {val!r}")
+            exps = tuple(map(int, parts))
             if arity is None:
                 arity = len(exps)
             terms[exps] = parse_scalar(val)
         return cls(arity or 1, order, terms, center)
+
+
+def _is_count(value):
+    """True for a nonnegative int read from JSON (bool excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _recenter_terms(f: Polynomial, c: Fraction, order: int):

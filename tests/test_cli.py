@@ -26,9 +26,11 @@ def test_adem_example(capsys):
 
 
 def test_hit_example(capsys):
+    # the text form is the canonical JSON of the decision
     rc, out, _ = run(capsys, "hit", "--poly", "3*x1^7", "--vars", "1")
-    assert rc == 0
-    assert out == '{"hit":false}\n'
+    assert (rc, out) == (0, '{"hit":false}\n')
+    rc, out, _ = run(capsys, "hit", "--poly", "4*x1^7", "--vars", "1")
+    assert (rc, out) == (0, '{"hit":true,"witness":[{"cofactor":"x1^4","k":3}]}\n')
 
 
 def test_hit_witness_text(capsys):
@@ -207,6 +209,29 @@ def test_tate_from_stdin(capsys, monkeypatch):
     )
     rc, out, _ = run(capsys, "tate", "--series", "-")
     assert (rc, out) == (0, "fail\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"order":3,"terms":[1,2]}',
+        '{"order":"x","terms":{}}',
+        '{"order":-1,"terms":{}}',
+        '{"order":true,"terms":{}}',
+        '{"order":3,"terms":{"a":"1"}}',
+        '{"order":3,"terms":{"-1":"1"}}',
+        '{"order":3,"terms":{"0":5}}',
+        '{"order":3,"terms":{},"center":5}',
+        '{"order":3,"terms":{},"arity":"2"}',
+    ],
+)
+def test_tate_malformed_series_is_a_parse_error(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(capsys, "tate", "--series", "-")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_ore_pair_prints_both_factors(capsys):

@@ -9,7 +9,6 @@ from jqforge.hit import (
     HitCertificate,
     classical_hit,
     cohit_order,
-    decision_json,
     hit_decide_graded,
     min_hit_valuation,
     module_adem_filtration,
@@ -72,12 +71,6 @@ def test_power_of_two_family_certificates():
         ok, cert = hit_decide_graded(power(d, 2 ** n))
         assert ok
         assert cert.pairs == [(2 ** n - 1, power(2 ** n))]
-
-
-def test_decision_json_is_stable():
-    assert decision_json(False) == '{"hit":false}'
-    ok, cert = hit_decide_graded(power(7, 4))
-    assert decision_json(ok, cert) == '{"hit":true,"witness":[{"cofactor":"x1^4","k":3}]}'
 
 
 def test_decision_matches_valuation_oracle():

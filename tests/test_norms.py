@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from fractions import Fraction
 
@@ -172,9 +170,9 @@ def test_degree_norm_sandwich_observed():
 
 def test_report_json_round_trip():
     rep = adem_valuation(OpElement.jq(3))
-    data = json.loads(rep.to_json())
+    data = rep.json_obj()
     assert data["value"] == 2
     assert data["norm"] == "1/4"
     assert data["method"] == "ademWordLength"
     rep0 = ValuationReport(INF, "monomialSup", {})
-    assert json.loads(rep0.to_json())["value"] == "inf"
+    assert rep0.json_obj()["value"] == "inf"
