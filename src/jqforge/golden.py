@@ -34,7 +34,7 @@ from .relations import (
     in_relation_span,
     ore_solve,
     rank_estimate,
-    two_partition_words,
+    t_partition_words,
 )
 from .series import (
     Sode,
@@ -112,7 +112,7 @@ def check_cube_identity_orientation():
 
 
 def check_degree_five_sign():
-    words = two_partition_words(5)
+    words = t_partition_words(5, 2)
     printed = _element(words, [5, -5, 0, 1, -2])
     corrected = _element(words, [5, -5, 0, 1, 2])
     hit_at = _first_symbolic_value(printed)
@@ -127,7 +127,7 @@ def check_degree_five_sign():
 
 
 def check_degree_six_slots():
-    words = two_partition_words(6)
+    words = t_partition_words(6, 2)
     printed = _element(words, [9, -7, 0, 1, 0, 3])
     corrected = _element(words, [9, -7, 0, 0, 1, 3])
     hit_at = _first_symbolic_value(printed)
@@ -359,7 +359,7 @@ def check_affinoid_quadric_action():
 
 
 def check_single_variable_relation_scope():
-    words = two_partition_words(4)
+    words = t_partition_words(4, 2)
     elem = _element(words, [2, -3, 1, 1])
     symbolic_zero = _first_symbolic_value(elem) is None
     out = eval_element(elem, parse_poly("x1^2*x2", 2))

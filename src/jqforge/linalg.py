@@ -1,17 +1,26 @@
 """Exact linear algebra: one elimination core per field.
 
+Over Q and Z_(2) the eliminations run on ints, and every entry given
+must be an int or a Fraction.  A row enters multiplied by the lcm of
+its denominators, a nonzero multiple of itself, so its zero pattern, and
+with it every pivot choice, is that of elimination over Fractions;
+Fractions are built only for what is returned.
+
 Over Q, dense: `_gauss_jordan` is the one Gauss-Jordan loop, behind
-`rref` (and so `nullspace` and `rank`) and `solve_affine`.  It records
-where each row started, so an inconsistent system names the equation at
-fault by its input index.
+`rref` (and so `nullspace` and `rank`) and `solve_affine`.  It
+eliminates by row <- p*row - a*pivot row, divides each new row by its
+content, and divides the pivot rows by their pivots only at the end,
+which gives the unique reduced echelon form.  It records where each row
+started, so an inconsistent system names the equation at fault by its
+input index.
 
 Over Q and Z_(2), sparse: rows are dicts keyed by orderable column ids,
 and each row carries its combination over the tags of the original rows.
-`_sub` is the one row operation, applied alike to rows and combinations.
-`SparseEchelon` is incremental, on Fractions, and pivots on the least
-column.  `Z2Lattice` works in batch, fraction-free on int rows, and
-pivots on the least (2-adic valuation, column) over the whole pool, so
-that every step is invertible over Z_(2) and the lattice is kept exactly.
+`_scale_sub` is the one row operation, applied alike to rows and
+combinations.  `SparseEchelon` is incremental and pivots on the least
+column.  `Z2Lattice` works in batch and pivots on the least (2-adic
+valuation, column) over the whole pool, so that every step is
+invertible over Z_(2) and the lattice is kept exactly.
 
 Over F_2: `f2_row_nullspace`, an echelon on bitmasks.
 
@@ -26,14 +35,26 @@ from math import gcd, lcm
 from .scalar2 import v2, v2_int
 
 
+def _int_row(vec):
+    """A list of ints and Fractions as coprime ints, a positive multiple of it."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints
+
+
 # -- dense rational ---------------------------------------------------
 
 
 def _gauss_jordan(mat, ncols):
-    """Reduce the first ncols columns of mat in place.
+    """Reduce the first ncols columns of a list of int rows, in place.
 
     Returns (pivot columns, order), where order[i] is the original index
-    of the row that ends at position i.
+    of the row that ends at position i.  Pivot rows end as Fractions,
+    divided by their pivots; the rows below them stay ints, zero in the
+    first ncols columns.
     """
     order = list(range(len(mat)))
     pivots = []
@@ -44,22 +65,34 @@ def _gauss_jordan(mat, ncols):
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         order[r], order[pr] = order[pr], order[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            a = row[c]
+            if a and i != r:
+                g = gcd(p, a)
+                u, a = p // g, a // g
+                row = [u * x - a * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                mat[i] = row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
+    for i, c in enumerate(pivots):
+        p = mat[i][c]
+        mat[i] = [Fraction(x, p) for x in mat[i]]
     return pivots, order
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (new rows, pivot column list)."""
-    mat = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form of rows of ints and Fractions.
+
+    Returns (new rows, pivot column list); the new rows are Fractions.
+    """
+    mat = [_int_row(r) for r in rows]
     if not mat:
         return [], []
     pivots, _ = _gauss_jordan(mat, len(mat[0]))
@@ -83,20 +116,14 @@ def nullspace(rows, ncols):
 
 
 def rank(rows):
+    """Rank of rows of ints and Fractions."""
     red, pivots = rref(rows)
     return len(pivots)
 
 
 def primitive_integer(vec):
     """Scale a rational vector to coprime integers with positive first nonzero."""
-    vec = [Fraction(x) for x in vec]
-    mult = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
+    ints = _int_row([Fraction(x) for x in vec])
     lead = next((x for x in ints if x != 0), 0)
     if lead < 0:
         ints = [-x for x in ints]
@@ -106,13 +133,13 @@ def primitive_integer(vec):
 def solve_affine(rows, rhs):
     """One solution of M x = rhs with free variables set to zero.
 
-    Returns (solution list, None) or (None, index of the first inconsistent
+    M (given by rows) and rhs hold ints and Fractions.  Returns (solution list, None) or (None, index of the first inconsistent
     equation) when the system has no solution.
     """
     if not rows:
         return [], None
     ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [_int_row(list(r) + [b]) for r, b in zip(rows, rhs)]
     pivots, order = _gauss_jordan(aug, ncols)
     for i in range(len(pivots), len(aug)):
         if aug[i][ncols] != 0:
@@ -140,67 +167,22 @@ def _nonzero(row):
     return {k: Fraction(v) for k, v in row.items() if v != 0}
 
 
-class SparseEchelon:
-    """Incremental echelon form on sparse rows keyed by orderable column ids.
+def _scaled(row):
+    """A dict row of ints and Fractions as ints, times the lcm of its denominators.
 
-    Every stored row remembers how it was assembled from the inserted
-    originals, so span membership can return explicit coefficients.
+    Returns (int row without zeros, that lcm).
     """
-
-    def __init__(self):
-        self.rows = {}
-
-    def reduce(self, row):
-        """Reduce a dict row; returns (residual, combination over original tags)."""
-        row = _nonzero(row)
-        used = {}
-        while row:
-            p = min(row)
-            entry = self.rows.get(p)
-            if entry is None:
-                break
-            erow, ecombo = entry
-            lam = row[p] / erow[p]
-            _sub(row, lam, erow)
-            _sub(used, -lam, ecombo)
-        return row, used
-
-    def insert(self, row, tag):
-        """Add a row; returns True when it enlarged the span."""
-        residual, used = self.reduce(row)
-        if not residual:
-            return False
-        combo = {tag: Fraction(1)}
-        _sub(combo, 1, used)
-        self.rows[min(residual)] = (residual, combo)
-        return True
-
-    def membership(self, row):
-        """Coefficients over inserted tags expressing row, or None."""
-        residual, used = self.reduce(row)
-        if residual:
-            return None
-        return used
-
-    @property
-    def rank(self):
-        return len(self.rows)
+    row = {k: v for k, v in row.items() if v != 0}
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items()}, den
 
 
-# -- 2-adic lattices --------------------------------------------------
+def _scale_sub(row, combo, u, a, brow, bcombo):
+    """row <- u*row - a*brow, alike on the combinations, in place.
 
-
-def _pivot_key(row):
-    """Least (2-adic valuation, column) over the entries of a nonzero int row."""
-    v = v2_int(gcd(*row.values()))
-    return v, min(k for k, x in row.items() if x >> v & 1)
-
-
-def _unit_sub(row, combo, u, a, brow, bcombo):
-    """row <- u*row - a*brow for odd u, alike on the combinations, in place.
-
-    Common odd factors are divided out, before the step from (u, a) and
-    after it from the row and combination together, all units of Z_(2).
+    u and a are first divided by their gcd, and u made positive.  A row
+    left nonzero is then divided, with its combination, by their common
+    content.
     """
     g = gcd(u, a)
     u, a = u // g, a // g
@@ -216,7 +198,6 @@ def _unit_sub(row, combo, u, a, brow, bcombo):
     if not row:
         return
     g = gcd(*row.values(), *combo.values())
-    g >>= v2_int(g)
     if g != 1:
         for k in row:
             row[k] //= g
@@ -224,19 +205,91 @@ def _unit_sub(row, combo, u, a, brow, bcombo):
             combo[k] //= g
 
 
+# the tag under which `SparseEchelon.membership` carries its target
+_TARGET = object()
+
+
+class SparseEchelon:
+    """Incremental echelon form on sparse rows keyed by orderable column ids.
+
+    Rows are kept as ints.  A row enters multiplied by the lcm of its
+    denominators, with that lcm as its coefficient in its combination,
+    and is reduced at its least column by row <- q*row - a*stored row,
+    the combinations alike, each step divided by the common content of
+    row and combination.  Every stored row is thereby a multiple of the
+    row elimination over Fractions gives, and remembers how it was
+    assembled from the inserted originals (whose tags must be distinct),
+    so span membership can return explicit coefficients.
+    """
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, row, tag=_TARGET):
+        """Reduce a dict row; returns (residual, combination), both int dicts.
+
+        The row enters the combination under tag, with its multiplier s:
+        residual = sum of combination[t] * (the row tagged t) over tag and
+        the inserted tags.
+        """
+        row, s = _scaled(row)
+        combo = {tag: s}
+        while row:
+            p = min(row)
+            entry = self.rows.get(p)
+            if entry is None:
+                break
+            erow, ecombo = entry
+            _scale_sub(row, combo, erow[p], row[p], erow, ecombo)
+        return row, combo
+
+    def insert(self, row, tag):
+        """Add a row; returns True when it enlarged the span."""
+        residual, combo = self.reduce(row, tag)
+        if not residual:
+            return False
+        self.rows[min(residual)] = (residual, combo)
+        return True
+
+    def membership(self, row):
+        """Fraction coefficients over inserted tags expressing row, or None."""
+        residual, combo = self.reduce(row)
+        if residual:
+            return None
+        s = combo.pop(_TARGET)
+        return {tag: Fraction(-c, s) for tag, c in combo.items()}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+
+# -- 2-adic lattices --------------------------------------------------
+
+
+def _pivot_key(row):
+    """Least (2-adic valuation, column) over the entries of a nonzero int row."""
+    v = v2_int(gcd(*row.values()))
+    return v, min(k for k, x in row.items() if x >> v & 1)
+
+
 class Z2Lattice:
     """Span of generator rows over the 2-adic integers, with membership tests.
 
-    Construction is fraction-free.  Rows are scaled once to ints: all by
-    2^T, T the largest 2-adic valuation of a row's denominator lcm, and
-    each by the odd part of its own lcm, which starts its combination.
+    Generators are (tag, dict row of ints and Fractions) pairs; their tags
+    must be distinct (ValueError otherwise), for the combinations are kept
+    over tags.  Construction is fraction-free.  Rows are scaled once to
+    ints: all by 2^T, T the largest 2-adic valuation of a row's
+    denominator lcm, and each by the odd part of its own lcm, which starts
+    its combination.
     The pivot p = 2^v*u (u odd) is the entry of least (valuation, column),
     ties to the earliest row, read from a key each row caches and
     recomputes only when a step changes it.  Every other entry a in the
     pivot column has a >> v exact, and row <- u*row - (a >> v)*pivot row
-    multiplies the row by a unit of Z_(2), as does dividing a row and its
-    combination by the odd part of their gcd: lattice and pivot order are
-    those of elimination over Fractions.
+    multiplies the row by a unit of Z_(2).  So does dividing a row and its
+    combination by their content, which is odd: a pool row's own tag keeps
+    an odd coefficient, since no pivot row's combination holds that tag.
+    Lattice and pivot order are those of elimination over Fractions.
 
     `basis` lists (column, row, combination) in pivot order.  Each row is
     a unit multiple of the row elimination over Fractions gives, in the
@@ -245,18 +298,17 @@ class Z2Lattice:
     """
 
     def __init__(self, generators):
-        rows = []
-        for tag, row in generators:
-            row = {k: v for k, v in row.items() if v != 0}
-            if row:
-                rows.append((tag, row, lcm(*(v.denominator for v in row.values()))))
+        rows = [(tag, *_scaled(row)) for tag, row in generators]
+        if len({tag for tag, _, _ in rows}) != len(rows):
+            raise ValueError("Z2Lattice generator tags must be distinct")
+        rows = [(tag, row, den) for tag, row, den in rows if row]
         top = max((v2_int(den) for _, _, den in rows), default=0)
         pool = []
         for tag, row, den in rows:
-            odd = den >> v2_int(den)
-            scale = odd << top
-            row = {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
-            pool.append([_pivot_key(row), row, {tag: odd}])
+            shift = top - v2_int(den)
+            if shift:
+                row = {k: x << shift for k, x in row.items()}
+            pool.append([_pivot_key(row), row, {tag: den >> v2_int(den)}])
         self.basis = []
         while pool:
             i = min(range(len(pool)), key=lambda j: pool[j][0])
@@ -266,7 +318,7 @@ class Z2Lattice:
                 _, row, combo = entry
                 a = row.get(pos)
                 if a is not None:
-                    _unit_sub(row, combo, unit, a >> v, brow, bcombo)
+                    _scale_sub(row, combo, unit, a >> v, brow, bcombo)
                     if row:
                         entry[0] = _pivot_key(row)
             pool = [entry for entry in pool if entry[1]]

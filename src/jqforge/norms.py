@@ -129,10 +129,11 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
 
     Powers of the kernel are built recursively per degree from the
     homogeneous kernel generators (the scalar 2 included), with the
-    generating sets reduced by 2-adic elimination at every stage.
+    generating sets reduced by 2-adic elimination at every stage.  Zero
+    lies in every power: its valuation is INF, as in the other gauges.
     """
     if not e.terms:
-        return ValuationReport(max_j, "kerAdicLattice", {"maxJ": max_j})
+        return ValuationReport(INF, "kerAdicLattice", {"maxJ": max_j})
     if not e.is_homogeneous():
         raise DomainError("valuation is per graded part; split the element first")
     if not all(in_z2(c) for c in e.terms.values()):

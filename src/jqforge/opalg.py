@@ -443,9 +443,20 @@ def eval_element(e: OpElement, f: Polynomial) -> Polynomial:
 def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None) -> bool:
     """Decide equality by acting on all monomials within the stated bounds.
 
-    Defaults: n_vars = max(degree, 2) and deg_bound = 2*degree + 4, where
-    degree is the largest word degree of the difference.  Callers doing
-    heavy sweeps pass tighter bounds and record them.
+    Defaults: n_vars = max(degree, 2) and deg_bound = degree, the largest
+    word degree of the difference e.  That bound is a proof in n_vars
+    variables.  On a monomial x^m, e gives sum_s P_s(m) x^(m+s), over
+    shift vectors s with |s| the degree of a word; a word of degree j
+    contributes products of binomials C(m_i + shift_i, j_i), so each P_s
+    is a polynomial in m_1..m_n of total degree at most the degree of e,
+    right for every m >= 0.  A polynomial of total degree at most d that
+    vanishes on {m : |m| <= d} is zero (in the binomial basis
+    prod C(m_i, a_i), |a| <= d, evaluating at m = a in increasing order is
+    triangular), so vanishing on every monomial of degree <= deg(e)
+    decides e = 0 on all polynomials in n_vars variables.  P_s does not
+    depend on m_i where s_i = 0, so with n_vars >= degree (the default)
+    it decides e = 0 in any number of variables.  A smaller deg_bound is
+    only a partial check.
 
     The difference is scaled by the lcm of its coefficient denominators,
     which changes no zero test, so with the integral monomial images of
@@ -460,7 +471,7 @@ def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None)
     if n_vars is None:
         n_vars = max(d, 2)
     if deg_bound is None:
-        deg_bound = 2 * d + 4
+        deg_bound = d
     scale = math.lcm(*(c.denominator for c in diff.terms.values()))
     terms = {w: int(c * scale) for w, c in diff.terms.items()}
     for exps in monomials_upto(n_vars, deg_bound):

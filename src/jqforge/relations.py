@@ -38,17 +38,6 @@ from .poly import monomials_upto
 from .scalar2 import in_z2
 
 
-def two_partition_words(k: int):
-    """Canonical word list for degree-k expansions into at most two factors.
-
-    Ordered as the full generator first, then (k-1,1) down to (1,k-1).
-    Degree 3 is special: two factors alone carry no relation, so the
-    strict three-factor word joins the list and closes the canonical
-    degree-3 relation.
-    """
-    return t_partition_words(k, 2)
-
-
 def t_partition_words(k: int, t: int):
     """Word list for degree-k expansions with t-factor words.
 
@@ -120,7 +109,7 @@ def adem_nullspace(k: int, words=None) -> RelationBasis:
     canonical for golden comparisons.
     """
     if words is None:
-        words = two_partition_words(k)
+        words = t_partition_words(k, 2)
     words = [tuple(w) for w in words]
     if not words:
         raise DomainError("empty word set")
@@ -194,7 +183,7 @@ def q12_decompose(k: int) -> OpElement:
 
 
 def _verify_decomposition(k: int, out: OpElement):
-    if not equal_by_evaluation(OpElement.jq(k), out, n_vars=2, deg_bound=2 * k + 2):
+    if not equal_by_evaluation(OpElement.jq(k), out, n_vars=2):
         raise VerificationError(f"decomposition of Jq{k} fails evaluation: {format_op(out)}")
 
 
@@ -313,13 +302,12 @@ def _ore_attempt(theta, eta, wx, wy, n_vars, deg_bound):
     keys = sorted({key for col in cols for key in col})
     rows = [[col.get(key, Fraction(0)) for col in cols] for key in keys]
     nx = len(wx)
-    bound = deg_bound if deg_bound is not None else min(2 * top + 2, 12)
     for vec in linalg.nullspace(rows, len(cols)):
         x = OpElement({w: c for w, c in zip(wx, vec[:nx]) if c != 0})
         y = OpElement({w: c for w, c in zip(wy, vec[nx:]) if c != 0})
         if not x.terms or not y.terms:
             continue
-        if equal_by_evaluation(theta * x, eta * y, n_vars=n_vars, deg_bound=bound):
+        if equal_by_evaluation(theta * x, eta * y, n_vars=n_vars, deg_bound=deg_bound):
             return x, y
     return None
 

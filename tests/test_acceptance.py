@@ -104,7 +104,7 @@ def test_criterion_02_printed_low_degree_expansions():
     with criterion(2, "printed degree-4/5/6 expansions annihilate everything"):
         problems = []
         for k, coeffs in vectors.items():
-            e = from_vector(relations.two_partition_words(k), coeffs)
+            e = from_vector(relations.t_partition_words(k, 2), coeffs)
             sym = element_on_power(e)
             if any(c != 0 for c in sym):
                 m = next(m for m in range(1, 12) if sym_eval(sym, m) != 0)
@@ -136,7 +136,7 @@ def test_criterion_03_degree_seven_nullspace_vector():
     with criterion(3, "printed degree-7 vector sits in the 2-dimensional nullspace"):
         rb = relations.adem_nullspace(7)
         assert len(rb.basis) >= 2, f"nullspace dimension {len(rb.basis)} < 2"
-        assert rb.words == relations.two_partition_words(7)
+        assert rb.words == relations.t_partition_words(7, 2)
         vec = (
             Fraction(14, 3),
             Fraction(-14, 3),

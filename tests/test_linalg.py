@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,14 @@ def test_z2_lattice_contains_rebuilds_its_target_with_z2_coefficients(gens, coef
             assert all(in_z2(c) for c in combo.values())
             assert _combine(gens, combo) == _nonzero(target)
     assert lattice.contains(member) is not None
+
+
+
+def test_z2_lattice_refuses_repeated_tags():
+    # combinations are kept over tags, and dividing a row by its content is
+    # a unit step only while each pool row holds its own tag alone
+    with pytest.raises(ValueError, match="distinct"):
+        linalg.Z2Lattice([("a", {0: 2}), ("a", {0: 2, 1: 4})])
 
 
 @PROPERTY
@@ -277,3 +286,176 @@ def test_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
         assert all(type(c) is int for c in combo.values())
         if odd_denominators:
             assert all(type(x) is int for x in row.values())
+
+
+def _fraction_gauss_jordan(mat, ncols):
+    """The Fraction Gauss-Jordan that `linalg._gauss_jordan` replaced, kept as its oracle."""
+    order = list(range(len(mat)))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        order[r], order[pr] = order[pr], order[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return pivots, order
+
+
+def _fraction_rref(rows):
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    pivots, _ = _fraction_gauss_jordan(mat, len(mat[0]))
+    return mat[: len(pivots)], pivots
+
+
+def _fraction_solve_affine(rows, rhs):
+    if not rows:
+        return [], None
+    ncols = len(rows[0])
+    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    pivots, order = _fraction_gauss_jordan(aug, ncols)
+    for i in range(len(pivots), len(aug)):
+        if aug[i][ncols] != 0:
+            return None, order[i]
+    x = [Fraction(0)] * ncols
+    for row_idx, c in enumerate(pivots):
+        x[c] = aug[row_idx][ncols]
+    return x, None
+
+
+class _FractionSparseEchelon:
+    """The Fraction `SparseEchelon` that the int elimination replaced, kept as its oracle."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, row):
+        row = _nonzero(row)
+        used = {}
+        while row:
+            p = min(row)
+            entry = self.rows.get(p)
+            if entry is None:
+                break
+            erow, ecombo = entry
+            lam = row[p] / erow[p]
+            _fraction_sub(row, lam, erow)
+            _fraction_sub(used, -lam, ecombo)
+        return row, used
+
+    def insert(self, row, tag):
+        residual, used = self.reduce(row)
+        if not residual:
+            return False
+        combo = {tag: Fraction(1)}
+        _fraction_sub(combo, 1, used)
+        self.rows[min(residual)] = (residual, combo)
+        return True
+
+    def membership(self, row):
+        residual, used = self.reduce(row)
+        if residual:
+            return None
+        return used
+
+
+def _typed(values):
+    """Values with their types, so that 1 and Fraction(1) differ."""
+    return [(type(x), x) for x in values]
+
+
+# ints, Fractions with odd and even denominators, and large entries that make rows grow
+oracle_entries = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -4, 3, 12, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
+     Fraction(-2, 3), Fraction(7, 5), Fraction(9, 8)]
+)
+
+
+@st.composite
+def oracle_matrices(draw, max_rows=6, max_cols=6):
+    """Int or Fraction rows, with repeated rows and combinations of earlier ones."""
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3, -6]) if draw(st.booleans()) else oracle_entries
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        lam = draw(oracle_entries)
+        rows.append(list(rows[a]) if draw(st.booleans()) else [x + lam * y for x, y in zip(rows[a], rows[b])])
+    return draw(st.permutations(rows)), ncols
+
+
+@PROPERTY
+@given(oracle_matrices(), st.lists(oracle_entries, min_size=10, max_size=10))
+def test_dense_elimination_matches_the_fraction_gauss_jordan(m, b):
+    rows, ncols = m
+    red, pivots = linalg.rref(rows)
+    want_red, want_pivots = _fraction_rref(rows)
+    assert pivots == want_pivots and linalg.rank(rows) == len(want_pivots)
+    assert [_typed(r) for r in red] == [_typed(r) for r in want_red]
+    basis = linalg.nullspace(rows, ncols)
+    want_basis = []
+    for free in range(ncols):
+        if free not in want_pivots:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            for r, pc in enumerate(want_pivots):
+                v[pc] = -want_red[r][free]
+            want_basis.append(v)
+    assert [_typed(v) for v in basis] == [_typed(v) for v in want_basis]
+    rhs = b[: len(rows)] + [0] * (len(rows) - len(b))
+    sol, bad = linalg.solve_affine(rows, rhs)
+    want_sol, want_bad = _fraction_solve_affine(rows, rhs)
+    assert bad == want_bad
+    assert (sol is None) == (want_sol is None)
+    if sol is not None:
+        assert _typed(sol) == _typed(want_sol)
+
+
+@st.composite
+def echelon_rows(draw):
+    """Tagged sparse rows of ints or Fractions, with repeats and multiples of earlier rows."""
+    entry = st.sampled_from([1, -1, 2, 3, -6, 12]) if draw(st.booleans()) else oracle_entries.filter(bool)
+    row = st.dictionaries(st.integers(0, 6), entry, max_size=5)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        base = rows[draw(st.integers(0, len(rows) - 1))]
+        lam = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-5, 3)]))
+        rows.append({k: lam * v for k, v in base.items()})
+    return list(enumerate(draw(st.permutations(rows))))
+
+
+@PROPERTY
+@given(echelon_rows(), st.lists(oracle_entries, min_size=12, max_size=12), sparse_rows)
+def test_sparse_echelon_matches_the_fraction_elimination(tagged, coeffs, other):
+    ech, oracle = linalg.SparseEchelon(), _FractionSparseEchelon()
+    for tag, row in tagged:
+        assert ech.insert(row, tag) == oracle.insert(row, tag)
+    assert ech.rank == len(oracle.rows)
+    assert list(ech.rows) == list(oracle.rows)
+    rows = dict(tagged)
+    member = _combine(rows, dict(zip(rows, coeffs)))
+    for target in (member, {k: Fraction(v, 2) for k, v in member.items()}, other, {}):
+        got, want = ech.membership(target), oracle.membership(target)
+        # the same coefficients, in the same order and of the same type
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [(k, type(c), c) for k, c in got.items()] == [(k, type(c), c) for k, c in want.items()]
+    for pos, (row, combo) in ech.rows.items():
+        orow, ocombo = oracle.rows[pos]
+        # each stored row and its combination are one multiple of the oracle's, on ints
+        scale = Fraction(row[pos]) / orow[pos]
+        assert row == {k: scale * v for k, v in orow.items()}
+        assert combo == {k: scale * v for k, v in ocombo.items()}
+        assert all(type(x) is int for x in (*row.values(), *combo.values()))

@@ -176,3 +176,13 @@ def test_report_json_round_trip():
     assert data["method"] == "ademWordLength"
     rep0 = ValuationReport(INF, "monomialSup", {})
     assert rep0.json_obj()["value"] == "inf"
+
+
+def test_three_gauges_agree_on_zero():
+    zero = OpElement.zero()
+    for max_j in (3, 6):
+        ker = ker_adic_valuation(zero, max_j=max_j)
+        assert ker.value is INF and ker.norm == 0
+        assert ker.json_obj()["value"] == "inf"
+    reports = [adem_valuation(zero), ker_adic_valuation(zero), operator_norm_estimate(zero)]
+    assert all(rep.value is INF and rep.norm == 0 for rep in reports)

@@ -1,9 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jqforge import action, opalg
+from jqforge import action, linalg, opalg, relations
 from jqforge.errors import DomainError, NotInZ2Error, ParseError
 from jqforge.opalg import OpElement
 from jqforge.poly import Polynomial, parse_poly
@@ -226,3 +229,70 @@ def test_compositions():
     assert set(opalg.compositions(4, length=2)) == {(3, 1), (2, 2), (1, 3)}
     for d in range(1, 9):
         assert len(list(opalg.compositions(d))) == 2 ** (d - 1)
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@PROPERTY
+@given(st.integers(0, 10))
+def test_chi_by_recursion_equals_chi_by_partitions(k):
+    rec, par = opalg.chi(k, "recursion"), opalg.chi(k, "partitions")
+    assert rec == par
+    # and so the convolution identity sum_i Jq^i chi(Jq^(k-i)) = 0 holds for k >= 1
+    if k:
+        total = sum((OpElement.jq(i) * opalg.chi(k - i, "partitions") for i in range(k + 1)), OpElement.zero())
+        assert not total.terms
+
+
+@functools.lru_cache(maxsize=None)
+def _near_relations(d, n_vars):
+    """Basis of the degree-d word combinations that kill every monomial of degree < d.
+
+    Most of them are relations in n_vars variables; the rest are caught
+    only on monomials of degree d itself.
+    """
+    words = relations.words_of_degree(d)
+    rows = relations._evaluation_rows(words, n_vars, d - 1)
+    keys = sorted({key for row in rows for key in row})
+    matrix = [[row.get(key, 0) for row in rows] for key in keys]
+    return words, linalg.nullspace(matrix, len(words))
+
+
+@st.composite
+def sweep_elements(draw):
+    """Elements in 2 or 3 variables: combinations of near-relations in one or two degrees, plus noise."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    top = draw(st.integers(2, 5 if n_vars == 3 else 6))
+    coeff = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 3)])
+    terms = {}
+    for d in (top, top - 1) if draw(st.booleans()) else (top,):
+        words, basis = _near_relations(d, n_vars)
+        for vec in basis:
+            c = draw(coeff)
+            for w, x in zip(words, vec):
+                terms[w] = terms.get(w, 0) + c * x
+        if draw(st.integers(0, 3)) == 0:
+            w = draw(st.sampled_from(words))
+            terms[w] = terms.get(w, 0) + draw(coeff)
+    return OpElement({w: Fraction(c) for w, c in terms.items() if c}), n_vars
+
+
+@PROPERTY
+@given(sweep_elements())
+def test_sweeping_to_the_degree_agrees_with_the_wide_sweep(case):
+    e, n_vars = case
+    d = e.degree()
+    zero = OpElement.zero()
+    exact = opalg.equal_by_evaluation(e, zero, n_vars=n_vars)
+    assert exact == opalg.equal_by_evaluation(e, zero, n_vars=n_vars, deg_bound=d)
+    assert exact == opalg.equal_by_evaluation(e, zero, n_vars=n_vars, deg_bound=2 * d + 4)
+
+
+def test_a_degree_six_element_is_separated_only_at_its_degree():
+    # kills every monomial of degree <= 5 in 3 variables, so one less than the degree is too few
+    e = opalg.parse_op("4*Jq5.Jq1 + 2*Jq2.Jq4 - 3*Jq1.Jq5 - Jq1.Jq1.Jq4")
+    zero = OpElement.zero()
+    assert opalg.equal_by_evaluation(e, zero, n_vars=3, deg_bound=5)
+    assert not opalg.equal_by_evaluation(e, zero, n_vars=3, deg_bound=6)
+    assert not opalg.equal_by_evaluation(e, zero, n_vars=3)

@@ -3,6 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from jqforge import relations
 from jqforge.errors import DomainError, IndecomposableError, NotFoundError
 from jqforge.opalg import OpElement, equal_by_evaluation, eval_element, parse_op
 from jqforge.poly import Polynomial, parse_poly
@@ -16,7 +17,7 @@ from jqforge.relations import (
     ore_solve,
     q12_decompose,
     rank_estimate,
-    two_partition_words,
+    t_partition_words,
     words_of_degree,
 )
 
@@ -25,10 +26,10 @@ F = Fraction
 
 
 def test_two_partition_words():
-    assert two_partition_words(3) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
-    assert two_partition_words(4) == [(4,), (3, 1), (2, 2), (1, 3)]
+    assert t_partition_words(3, 2) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
+    assert t_partition_words(4, 2) == [(4,), (3, 1), (2, 2), (1, 3)]
     with pytest.raises(DomainError):
-        two_partition_words(2)
+        t_partition_words(2, 2)
 
 
 def test_binary_partition_words():
@@ -236,3 +237,33 @@ def test_relation_basis_json_deterministic():
     assert data["degree"] == 3
     assert data["words"] == ["Jq3", "Jq2.Jq1", "Jq1.Jq2", "Jq1.Jq1.Jq1"]
     assert data["basis"] == [["3", "-6", "3", "1"]]
+
+
+def test_verification_sweeps_reach_the_degree_of_what_they_compare(monkeypatch):
+    # every check the solvers make must be a proof in its variables: a sweep
+    # to the degree of the difference, which the default deg_bound=None
+    # gives; an explicit bound must reach the larger side's degree, which
+    # bounds the difference's even when the difference is zero
+    calls = []
+
+    def spy(a, b, n_vars=None, deg_bound=None):
+        calls.append((max(a.degree(), b.degree()), (a - b).degree(), deg_bound))
+        return equal_by_evaluation(a, b, n_vars=n_vars, deg_bound=deg_bound)
+
+    monkeypatch.setattr(relations, "equal_by_evaluation", spy)
+    q12_decompose.cache_clear()
+    try:
+        for k in (3, 4, 5, 6):
+            q12_decompose(k)
+    finally:
+        q12_decompose.cache_clear()
+    for k in (3, 5, 6, 7):
+        binary_decompose(k)
+    ore_solve(OpElement.jq(1), OpElement.jq(2))
+    # a degree-12 word set puts the product in degree 13, past the old cap of 12
+    jq1 = OpElement.jq(1)
+    x, y = ore_solve(jq1, jq1, set_x=[(12,)], set_y=[(12,)])
+    assert x == y == OpElement.jq(12)
+    assert len(calls) >= 10 and any(top == 13 for top, _, _ in calls)
+    for top, diff, bound in calls:
+        assert bound is None or bound >= top >= diff
