@@ -231,7 +231,12 @@ def _cmd_decompose(args):
         out = relations.binary_decompose(args.k)
     else:
         out = relations.q12_decompose(args.k)
-    payload = {"k": args.k, "mode": args.mode, "result": format_op(out)}
+    payload = {
+        "k": args.k,
+        "mode": args.mode,
+        "result": format_op(out),
+        "bounds": {"nVars": relations.GRID_VARS},
+    }
     return _with_digits(payload, args.config["digits"], out.terms.values())
 
 

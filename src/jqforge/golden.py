@@ -13,19 +13,17 @@ import math
 import random
 from fractions import Fraction
 
-from .action import apply_jq
+from .action import apply_jq, element_image
 from .hit import hit_decide_graded
 from .norms import adem_valuation, degree_norm, operator_norm_estimate
 from .opalg import (
     OpElement,
     chi,
-    element_on_power,
     equal_by_evaluation,
     eval_element,
     format_op,
     nilpotency_degree,
     parse_op,
-    sym_eval,
 )
 from .poly import Polynomial, format_poly, parse_poly
 from .relations import (
@@ -61,11 +59,11 @@ def _element(words, coeffs):
 
 
 def _first_symbolic_value(e, limit=8):
-    """First exponent where the single-variable symbol is nonzero, or None."""
-    poly = element_on_power(e)
+    """First (m, c), m in 1..limit, with e(x^m) = c*x^(m + deg e) nonzero, or None."""
     for m in range(1, limit + 1):
-        val = sym_eval(poly, m)
-        if val:
+        image = element_image(e.terms, (m,))
+        if image:
+            (val,) = image.values()
             return m, val
     return None
 

@@ -87,20 +87,29 @@ def _gauss_jordan(mat, ncols):
     return pivots, order
 
 
+def _check_width(rows, ncols):
+    """ValueError unless every row has ncols entries."""
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, not {ncols}")
+
+
 def rref(rows):
-    """Reduced row echelon form of rows of ints and Fractions.
+    """Reduced row echelon form of rows of ints and Fractions, all of one length.
 
     Returns (new rows, pivot column list); the new rows are Fractions.
     """
-    mat = [_int_row(r) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
+    _check_width(rows, len(rows[0]))
+    mat = [_int_row(r) for r in rows]
     pivots, _ = _gauss_jordan(mat, len(mat[0]))
     return mat[: len(pivots)], pivots
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : M x = 0} for M given by rows, one vector per free column."""
+    """Basis of {x : M x = 0} for M given by rows of ncols entries, one vector per free column."""
+    _check_width(rows, ncols)
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
@@ -133,12 +142,16 @@ def primitive_integer(vec):
 def solve_affine(rows, rhs):
     """One solution of M x = rhs with free variables set to zero.
 
-    M (given by rows) and rhs hold ints and Fractions.  Returns (solution list, None) or (None, index of the first inconsistent
-    equation) when the system has no solution.
+    M (given by rows, all of one length) and rhs, one entry per row, hold
+    ints and Fractions.  Returns (solution list, None) or (None, index of
+    the first inconsistent equation) when the system has no solution.
     """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
     if not rows:
         return [], None
     ncols = len(rows[0])
+    _check_width(rows, ncols)
     aug = [_int_row(list(r) + [b]) for r, b in zip(rows, rhs)]
     pivots, order = _gauss_jordan(aug, ncols)
     for i in range(len(pivots), len(aug)):

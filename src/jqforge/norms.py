@@ -2,7 +2,7 @@
 
 Three inequivalent gauges, each with its own report: the word-length
 valuation (membership in powers of the positive-degree ideal, solved
-degree by degree over the symbolic single-variable system), the kernel
+degree by degree on the exact single-variable system), the kernel
 filtration of the mod-2 reduction, and a monomial-scan estimate of the
 transformation norm.  Reports carry the bounds they were computed under
 and, when available, a witness that re-verifies the value.
@@ -19,13 +19,11 @@ from . import linalg
 from .opalg import (
     OpElement,
     admissible_form,
-    element_on_power,
     format_op,
     phi_reduce,
-    evaluate_on_power,
 )
 from .poly import monomials_upto
-from .relations import words_of_degree
+from .relations import _grid_vectors, words_of_degree
 from .scalar2 import INF, in_z2, v2
 
 
@@ -61,20 +59,13 @@ class ValuationReport:
         }
 
 
-def _symbolic_element_vector(e: OpElement):
-    return {i: c for i, c in enumerate(element_on_power(e)) if c != 0}
-
-
-def _symbolic_word_vector(w):
-    return {i: c for i, c in enumerate(evaluate_on_power(w)) if c != 0}
-
-
 def adem_valuation(e: OpElement) -> ValuationReport:
     """Largest j with e spanned by degree-d words of length >= j.
 
-    Solved over the exact single-variable symbolic system, descending j,
-    so the value is the order of e in the filtration by powers of the
-    positive-degree ideal.  The witness is the rewriting into long words.
+    Solved on the one-variable grid to degree d, the exact single-variable
+    system (see `relations`), descending j, so the value is the order of e
+    in the filtration by powers of the positive-degree ideal.  The witness
+    is the rewriting into long words.
     """
     if not e.terms:
         return ValuationReport(INF, "ademWordLength", {"mDegree": 0})
@@ -85,12 +76,13 @@ def adem_valuation(e: OpElement) -> ValuationReport:
         return ValuationReport(0, "ademWordLength", {"mDegree": 0})
     if any(len(w) == 0 for w in e.terms):
         raise DomainError("mixed identity term; split the element first")
-    target = _symbolic_element_vector(e)
+    words = words_of_degree(d)
+    *vecs, target = _grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
     for j in range(d, 0, -1):
-        pool = [w for w in words_of_degree(d) if len(w) >= j]
         ech = linalg.SparseEchelon()
-        for w in pool:
-            ech.insert(_symbolic_word_vector(w), w)
+        for w, vec in zip(words, vecs):
+            if len(w) >= j:
+                ech.insert(vec, w)
         combo = ech.membership(target)
         if combo is not None:
             witness = OpElement({w: c for w, c in combo.items() if c != 0})

@@ -9,8 +9,7 @@ words with the concatenation product.
 The module also carries the Hopf structure (coproduct, counit, conjugation),
 the mod-2 reduction onto the classical squaring algebra with admissible
 normalization, an independent classical action on F_2 polynomials used as a
-cross-check oracle, and the symbolic evaluation of a word on a generic power
-of a single variable.
+cross-check oracle, and equality decided by exact evaluation sweeps.
 """
 
 from __future__ import annotations
@@ -366,68 +365,6 @@ def sq_on_f2(k: int, terms: frozenset, arity: int) -> frozenset:
                     raised = tuple(acc[:pos]) + (e + j,) + tuple(acc[pos + 1:])
                     stack.append((pos + 1, remaining - j, raised))
     return frozenset(out)
-
-
-# -- symbolic evaluation ----------------------------------------------
-
-
-def _poly_m_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _binom_m_poly(shift: int, k: int):
-    """C(m + shift, k) as a polynomial in m, coefficient list by power."""
-    acc = [Fraction(1)]
-    for i in range(k):
-        acc = _poly_m_mul(acc, [Fraction(shift - i), Fraction(1)])
-    return [c / math.factorial(k) for c in acc]
-
-
-def evaluate_on_power(w) -> list:
-    """Coefficient of the image of a generic power, as a polynomial in m.
-
-    Applying the word to the m-th power of a single variable lands in the
-    power of degree m + deg(w); the scalar in front is the product of
-    binomial factors picked up right to left, returned as a coefficient
-    list indexed by powers of m.
-    """
-    acc = [Fraction(1)]
-    shift = 0
-    for k in reversed(tuple(w)):
-        acc = _poly_m_mul(acc, _binom_m_poly(shift, k))
-        shift += k
-    return acc
-
-
-def sym_eval(p, m) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * m + c
-    return acc
-
-
-def element_on_power(e: OpElement) -> list:
-    """Symbolic single-variable coefficient of a homogeneous element."""
-    if not e.is_homogeneous():
-        raise DomainError("symbolic evaluation needs a homogeneous element")
-    acc = [Fraction(0)]
-    for w, c in e.terms.items():
-        p = [c * x for x in evaluate_on_power(w)]
-        if len(p) > len(acc):
-            acc, p = p, acc
-        for i, x in enumerate(p):
-            acc[i] += x
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    return acc
 
 
 # -- evaluation semantics ---------------------------------------------

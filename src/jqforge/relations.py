@@ -1,12 +1,25 @@
 """Discovery of relations between operator words by exact linear algebra.
 
-The basic move: encode each candidate word as the symbolic coefficient of
-its action on a generic single-variable power (a polynomial in the exponent
-m), stack those as constraint columns, and solve exact rational systems.
-Decomposition solvers enrich the constraints with two-variable monomial
-evaluations, which separates words the single-variable picture conflates,
-and every candidate relation is re-verified by evaluation before being
-returned.
+Every constraint row comes from one builder, `_grid_vectors`.  It acts
+with each element {word: coeff} on every monomial of a grid
+{m in N^n : |m| <= d} through the evaluation kernel, and keys the
+coefficient of x^exps in the image of the i-th grid monomial by
+(i, exps).  For a combination of words of degree at most d the grid is
+the exact system, not a sample: its vector is zero exactly when it
+kills every polynomial in n variables (the proof is in
+`opalg.equal_by_evaluation`).
+
+- The one-variable grid is the exact single-variable system.
+  `adem_nullspace` and `norms.adem_valuation` solve on it, so their
+  relations hold on every power of one variable, and need not hold in
+  more.
+- The grid in `GRID_VARS` = 2 variables decides identities in two
+  variables.  `q12_decompose`, `binary_decompose` and the Ore search
+  solve on it.  From degree 9 two variables no longer separate all
+  words, so what is found there is an identity in two variables only.
+  Decompositions are re-verified in two variables, and Ore pairs in the
+  caller's number of variables.
+- `rank_estimate` counts the rank on a grid of the caller's size.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .action import element_image, word_images
+from .action import word_images
 from .errors import (
     DomainError,
     IndecomposableError,
@@ -27,15 +40,16 @@ from . import linalg
 from .opalg import (
     OpElement,
     compositions,
-    element_on_power,
     equal_by_evaluation,
-    evaluate_on_power,
     format_op,
     format_word,
     word_key,
 )
 from .poly import monomials_upto
 from .scalar2 import in_z2
+
+# variables of the grid on which decompositions and Ore multiples are solved
+GRID_VARS = 2
 
 
 def t_partition_words(k: int, t: int):
@@ -91,18 +105,40 @@ class RelationBasis:
         }
 
 
-def _symbolic_matrix(words):
-    """Constraint rows equating the symbolic action of a combination to zero.
+def _grid_vectors(elements, mus):
+    """Sparse constraint vector of each element {word: coeff} on the monomials mus.
 
-    Column j is words[j]; row i is the coefficient of m^i.
+    Entry (i, exps) is the coefficient of x^exps in the image of the i-th
+    monomial; zeros are dropped.  One kernel call per monomial serves the
+    words of every element, sharing right factors between all of them.
     """
-    cols = [evaluate_on_power(w) for w in words]
-    height = max(len(c) for c in cols)
-    return [[c[i] if i < len(c) else Fraction(0) for c in cols] for i in range(height)]
+    words = list(dict.fromkeys(w for e in elements for w in e))
+    vecs = [{} for _ in elements]
+    for i, mu in enumerate(mus):
+        images = dict(zip(words, word_images(words, mu)))
+        for vec, e in zip(vecs, elements):
+            for w, c in e.items():
+                for exps, v in images[w].items():
+                    key = (i, exps)
+                    vec[key] = vec.get(key, 0) + c * v
+    return [{key: v for key, v in vec.items() if v != 0} for vec in vecs]
+
+
+def _column_nullspace(cols):
+    """Exact nullspace of the matrix whose columns are the sparse vectors cols."""
+    keys = sorted({key for col in cols for key in col})
+    rows = [[col.get(key, 0) for col in cols] for key in keys]
+    return linalg.nullspace(rows, len(cols))
 
 
 def adem_nullspace(k: int, words=None) -> RelationBasis:
-    """Exact nullspace of the symbolic single-variable system over a word set.
+    """Exact nullspace of the single-variable system over a word set.
+
+    The system is the one-variable grid to degree k, which is exact: a
+    combination of degree-k words acts on x^m as P(m) x^(m+k), with P a
+    polynomial of degree at most k, so P vanishes on m = 0..k only when it
+    is zero.  The report keeps the method name "symbolicSingleVariable"
+    and mDegree = k, the degree of P.
 
     Vectors are normalized to primitive integer form with a positive first
     nonzero entry, in reduced echelon order, which makes the output
@@ -116,41 +152,23 @@ def adem_nullspace(k: int, words=None) -> RelationBasis:
     for w in words:
         if sum(w) != k:
             raise DomainError(f"word {w} does not have degree {k}")
-    rows = _symbolic_matrix(words)
-    raw = linalg.nullspace(rows, len(words))
+    raw = _column_nullspace(_grid_vectors([{w: 1} for w in words], monomials_upto(1, k)))
     basis = [linalg.primitive_integer(v) for v in raw]
     return RelationBasis(
         degree=k,
         words=words,
         basis=basis,
-        bounds={"method": "symbolicSingleVariable", "mDegree": len(rows) - 1},
+        bounds={"method": "symbolicSingleVariable", "mDegree": k},
     )
 
 
 def in_relation_span(basis: RelationBasis, vec) -> bool:
-    """Whether vec lies in the rational span of the basis vectors."""
+    """Whether vec (one entry per word) lies in the rational span of the basis vectors."""
+    if len(vec) != len(basis.words):
+        raise DomainError(f"vector has {len(vec)} entries for {len(basis.words)} words")
     rows = [list(map(Fraction, b)) for b in basis.basis]
     before = linalg.rank(rows)
     return linalg.rank(rows + [list(map(Fraction, vec))]) == before
-
-
-def _pair_monomials(deg: int):
-    """Two-variable test monomials separating words of total degree deg."""
-    out = []
-    for total in range(2, deg + 3):
-        for b in range(1, total // 2 + 1):
-            out.append((total - b, b))
-    return out
-
-
-def _constraint_vectors(words, mus):
-    """Sparse constraint vector of each word: symbolic plus two-variable rows."""
-    vecs = [{("m", i): c for i, c in enumerate(evaluate_on_power(w)) if c != 0} for w in words]
-    for mi, mu in enumerate(mus):
-        for vec, img in zip(vecs, word_images(words, mu)):
-            for exps, c in img.items():
-                vec[("e", mi, exps)] = c
-    return vecs
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,19 +176,17 @@ def q12_decompose(k: int) -> OpElement:
     """Express the degree-k generator through words with factors 1 and 2 only.
 
     Solved as exact membership of the generator in the span of all
-    degree-k words over factors 1 and 2, against constraints rich enough
-    to pin down genuine operator identities (two-variable evaluations on
-    top of the symbolic single-variable system).  Expansions found only
-    through two-factor words do not survive several variables, which is
-    why the full word set is searched at once.
+    degree-k words over factors 1 and 2, on the two-variable grid to
+    degree k, which decides identities in two variables.  Expansions
+    found only through two-factor words do not survive several
+    variables, which is why the full word set is searched at once.
     """
     if k < 1:
         raise DomainError("k must be positive")
     if k <= 2:
         return OpElement.jq(k)
     words = [w for w in words_of_degree(k) if all(p in (1, 2) for p in w)]
-    mus = _pair_monomials(k)
-    *cols, target = _constraint_vectors(words + [(k,)], mus)
+    *cols, target = _grid_vectors([{w: 1} for w in words + [(k,)]], monomials_upto(GRID_VARS, k))
     ech = linalg.SparseEchelon()
     for w, col in zip(words, cols):
         ech.insert(col, w)
@@ -183,7 +199,7 @@ def q12_decompose(k: int) -> OpElement:
 
 
 def _verify_decomposition(k: int, out: OpElement):
-    if not equal_by_evaluation(OpElement.jq(k), out, n_vars=2):
+    if not equal_by_evaluation(OpElement.jq(k), out, n_vars=GRID_VARS):
         raise VerificationError(f"decomposition of Jq{k} fails evaluation: {format_op(out)}")
 
 
@@ -192,15 +208,15 @@ def binary_decompose(k: int) -> OpElement:
 
     Membership of the generator in the 2-adic lattice spanned by the
     binary-partition words is decided by valuation-aware elimination, so
-    the returned coefficients always have odd denominators.
+    the returned coefficients always have odd denominators.  The lattice
+    rows are the two-variable grid to degree k.
     """
     if k < 1:
         raise DomainError("k must be positive")
     if k & (k - 1) == 0:
         raise IndecomposableError(f"the degree-{k} generator is not decomposable this way")
     words = binary_partition_words(k)
-    mus = _pair_monomials(k)
-    *cols, target = _constraint_vectors(words + [(k,)], mus)
+    *cols, target = _grid_vectors([{w: 1} for w in words + [(k,)]], monomials_upto(GRID_VARS, k))
     combo = linalg.Z2Lattice(zip(words, cols)).contains(target)
     if combo is None:
         raise ResolutionFailedError(
@@ -213,26 +229,15 @@ def binary_decompose(k: int) -> OpElement:
     return out
 
 
-def _evaluation_rows(element_words, n_vars, deg_bound):
-    """Sparse evaluation vector of each word over a monomial test set."""
-    rows = [{} for _ in element_words]
-    mus = (mu for mu in monomials_upto(n_vars, deg_bound) if sum(mu) >= 1)
-    for mi, mu in enumerate(mus):
-        for vec, img in zip(rows, word_images(element_words, mu)):
-            for exps, c in img.items():
-                vec[(mi, exps)] = c
-    return rows
-
-
 def rank_estimate(d: int, n_vars: int = 3, deg_bound=None) -> int:
     """Rank of the degree-d words as operators, within the stated bounds."""
     if d < 1:
         raise DomainError("degree must be positive")
     if deg_bound is None:
         deg_bound = d + 2
-    words = words_of_degree(d)
+    grid = monomials_upto(n_vars, deg_bound)
     ech = linalg.SparseEchelon()
-    for i, row in enumerate(_evaluation_rows(words, n_vars, deg_bound)):
+    for i, row in enumerate(_grid_vectors([{w: 1} for w in words_of_degree(d)], grid)):
         ech.insert(row, i)
     return ech.rank
 
@@ -244,9 +249,9 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
     escalates the common product degree one step at a time, taking all
     words of each degree; the lowest degree often carries only degenerate
     nullspace vectors (one side zero), which are skipped.  Candidates come
-    from the exact nullspace of the combined symbolic and two-variable
-    constraint system and are re-verified by evaluation before being
-    returned; raises NotFoundError when the sets are exhausted.
+    from the exact nullspace of the two-variable grid system and are
+    re-verified in n_vars variables before being returned; raises
+    NotFoundError when the sets are exhausted.
     """
     if not theta.terms or not eta.terms:
         raise DomainError("theta and eta must be nonzero")
@@ -292,17 +297,10 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
 def _ore_attempt(theta, eta, wx, wy, n_vars, deg_bound):
     """One nullspace pass over fixed word sets; verified result or None."""
     top = theta.degree() + max(sum(w) for w in wx)
-    mus = _pair_monomials(top)
-    cols = []
-    for w in wx:
-        cols.append(_element_constraint_vector(theta * OpElement.from_word(w), mus))
-    for w in wy:
-        vec = _element_constraint_vector(eta * OpElement.from_word(w), mus)
-        cols.append({key: -v for key, v in vec.items()})
-    keys = sorted({key for col in cols for key in col})
-    rows = [[col.get(key, Fraction(0)) for col in cols] for key in keys]
+    elements = [(theta * OpElement.from_word(w)).terms for w in wx]
+    elements += [(eta * OpElement.from_word(w, -1)).terms for w in wy]
     nx = len(wx)
-    for vec in linalg.nullspace(rows, len(cols)):
+    for vec in _column_nullspace(_grid_vectors(elements, monomials_upto(GRID_VARS, top))):
         x = OpElement({w: c for w, c in zip(wx, vec[:nx]) if c != 0})
         y = OpElement({w: c for w, c in zip(wy, vec[nx:]) if c != 0})
         if not x.terms or not y.terms:
@@ -310,14 +308,6 @@ def _ore_attempt(theta, eta, wx, wy, n_vars, deg_bound):
         if equal_by_evaluation(theta * x, eta * y, n_vars=n_vars, deg_bound=deg_bound):
             return x, y
     return None
-
-
-def _element_constraint_vector(e: OpElement, mus):
-    vec = {("m", i): c for i, c in enumerate(element_on_power(e)) if c != 0}
-    for mi, mu in enumerate(mus):
-        for exps, c in element_image(e.terms, mu).items():
-            vec[("e", mi, exps)] = c
-    return vec
 
 
 def fraction_add(a: OpElement, b_inv: OpElement, c: OpElement, d_inv: OpElement, bounds=None):

@@ -1,10 +1,13 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every private module-level function or class is used somewhere in it.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree: a name bound by a top-level `import` or `from ... import` must
 appear somewhere else in the module as a name or as the base of an
 attribute.  `__init__.py` is exempt, because its imports are the
-package's re-exports.
+package's re-exports.  A top-level `def _name` or `class _Name` must be
+referenced, as a name or an attribute, outside its own body in some
+module of the package; one that only tests reach is dead code.
 """
 
 import ast
@@ -39,3 +42,50 @@ def test_the_check_sees_an_unused_import():
     source = "import os\nfrom math import gcd, lcm\nfrom . import relations\n"
     source += "print(gcd, relations.x)\n"
     assert unused_imports(source) == [(1, "os"), (2, "lcm")]
+
+
+def unreferenced_private_definitions(sources):
+    """(module, name) of each private top-level def or class no module refers to.
+
+    sources maps module names to source text.  A reference is a Name or an
+    Attribute with the definition's name, outside the definition itself.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defined = [
+        (mod, node)
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    out = []
+    for mod, node in defined:
+        inside = {id(n) for n in ast.walk(node)}
+        used = any(
+            id(n) not in inside
+            and (isinstance(n, ast.Name) and n.id == node.name
+                 or isinstance(n, ast.Attribute) and n.attr == node.name)
+            for tree in trees.values()
+            for n in ast.walk(tree)
+        )
+        if not used:
+            out.append((mod, node.name))
+    return sorted(out)
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_the_check_sees_an_unreferenced_private_definition():
+    relations = (
+        "def _pair_monomials(deg):\n    return _pair_monomials(deg - 1)\n"
+        "def _used():\n    return 1\n"
+        "class _Helper:\n    pass\n"
+    )
+    cli = "from .relations import _Helper\nprint(_Helper, relations._used)\n"
+    assert unreferenced_private_definitions({"relations": relations, "cli": cli}) == [
+        ("relations", "_pair_monomials")
+    ]

@@ -73,6 +73,7 @@ def test_monomial_image_is_the_graded_piece_of_x_plus_x_squared(k, mu):
 
 @ORACLE
 @given(word_lists(), monomials)
+@example([(3,), (2, 1), (1, 2), (1, 1, 1)], (2,))  # 0, 6, 4 and 24 times x^5
 def test_word_images_match_apply_word(ws, mu):
     got = word_images(ws, mu)
     assert len(got) == len(ws)

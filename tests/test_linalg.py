@@ -67,6 +67,23 @@ def test_solve_affine_solves_exactly_the_consistent_systems(m, b):
         assert bad is None and _mul(rows, sol) == rhs
 
 
+def test_ragged_input_is_refused():
+    # rows of unequal length, or a right-hand side of the wrong length, used to be truncated
+    ragged = [[1, 0], [0, 1, 1]]
+    for call in (
+        lambda: linalg.rref(ragged),
+        lambda: linalg.rank(ragged),
+        lambda: linalg.nullspace(ragged, 2),
+        lambda: linalg.nullspace([[1, 0]], 3),
+        lambda: linalg.solve_affine(ragged, [1, 1]),
+        lambda: linalg.solve_affine([[1, 0], [0, 1]], [1]),
+        lambda: linalg.solve_affine([[1, 0]], [1, 2]),
+        lambda: linalg.solve_affine([], [1]),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_solve_affine_inconsistent_index_survives_row_swaps():
     # the reported index is the equation's position in the input, not after pivoting
     cases = [

@@ -1,12 +1,16 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jqforge import relations
+from jqforge import linalg, relations
+from jqforge.action import element_image
 from jqforge.errors import DomainError, IndecomposableError, NotFoundError
 from jqforge.opalg import OpElement, equal_by_evaluation, eval_element, parse_op
-from jqforge.poly import Polynomial, parse_poly
+from jqforge.poly import Polynomial, monomials_upto, parse_poly
 from jqforge.relations import (
     RelationBasis,
     adem_nullspace,
@@ -93,6 +97,14 @@ def test_relation_elements_annihilate_one_variable():
                     terms[(d,)] = F(rng.randint(-5, 5), rng.choice((1, 1, 3)))
                 f = Polynomial(1, terms)
                 assert eval_element(e, f) == Polynomial.zero(1)
+
+
+def test_relation_span_needs_one_entry_per_word():
+    rb = adem_nullspace(3)
+    with pytest.raises(DomainError):
+        in_relation_span(rb, [3, -6, 3, 1, 5])
+    with pytest.raises(DomainError):
+        in_relation_span(rb, [3, -6, 3])
 
 
 def test_degree_four_relation_is_single_variable_only():
@@ -267,3 +279,107 @@ def test_verification_sweeps_reach_the_degree_of_what_they_compare(monkeypatch):
     assert len(calls) >= 10 and any(top == 13 for top, _, _ in calls)
     for top, diff, bound in calls:
         assert bound is None or bound >= top >= diff
+
+
+# -- the symbolic single-variable system, kept as the grids' oracle ----
+
+
+def _poly_m_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _binom_m_poly(shift: int, k: int):
+    """C(m + shift, k) as a polynomial in m, coefficient list by power."""
+    acc = [Fraction(1)]
+    for i in range(k):
+        acc = _poly_m_mul(acc, [Fraction(shift - i), Fraction(1)])
+    return [c / math.factorial(k) for c in acc]
+
+
+def evaluate_on_power(w) -> list:
+    """Coefficient of the image of x^m under w, as a polynomial in m (list by power)."""
+    acc = [Fraction(1)]
+    shift = 0
+    for k in reversed(tuple(w)):
+        acc = _poly_m_mul(acc, _binom_m_poly(shift, k))
+        shift += k
+    return acc
+
+
+def _pair_monomials(deg: int):
+    """Two-variable test monomials separating words of total degree deg."""
+    out = []
+    for total in range(2, deg + 3):
+        for b in range(1, total // 2 + 1):
+            out.append((total - b, b))
+    return out
+
+
+def _symbolic_columns(elements):
+    """Each element's coefficients of m^i, keyed ("m", i)."""
+    cols = []
+    for e in elements:
+        col = {}
+        for w, c in e.items():
+            for i, x in enumerate(evaluate_on_power(w)):
+                col[("m", i)] = col.get(("m", i), 0) + c * x
+        cols.append({key: v for key, v in col.items() if v != 0})
+    return cols
+
+
+def _symbolic_and_pair_columns(elements, d):
+    """The symbolic rows plus the two-variable pair rows the solvers once used."""
+    cols = _symbolic_columns(elements)
+    for mi, mu in enumerate(_pair_monomials(d)):
+        for col, e in zip(cols, elements):
+            for exps, v in element_image(e, mu).items():
+                col[("e", mi, exps)] = v
+    return cols
+
+
+def _nullspace(cols):
+    keys = sorted({key for col in cols for key in col})
+    return linalg.nullspace([[col.get(key, 0) for col in cols] for key in keys], len(cols))
+
+
+@st.composite
+def one_degree_elements(draw):
+    """A degree d <= 9 and elements of degree d, some of them combinations of others."""
+    d = draw(st.integers(1, 9))
+    word = st.sampled_from(words_of_degree(d))
+    coeff = st.sampled_from([1, -1, 2, 3, F(1, 2), F(-2, 3)])
+    elements = draw(st.lists(st.dictionaries(word, coeff, min_size=1, max_size=3), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b, lam = draw(st.sampled_from(elements)), draw(st.sampled_from(elements)), draw(coeff)
+        combo = dict(a)
+        for w, c in b.items():
+            combo[w] = combo.get(w, 0) + lam * c
+        elements.append({w: c for w, c in combo.items() if c})
+    return d, draw(st.permutations(elements))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(one_degree_elements())
+def test_grid_rows_have_the_nullspace_of_the_symbolic_rows(case):
+    d, elements = case
+    one = relations._grid_vectors(elements, monomials_upto(1, d))
+    assert _nullspace(one) == _nullspace(_symbolic_columns(elements))
+    two = relations._grid_vectors(elements, monomials_upto(2, d))
+    assert _nullspace(two) == _nullspace(_symbolic_and_pair_columns(elements, d))
+
+
+def test_adem_nullspace_matches_the_symbolic_oracle():
+    for k in range(3, 15):
+        words = t_partition_words(k, 2)
+        rb = adem_nullspace(k)
+        oracle = _nullspace(_symbolic_columns([{w: 1} for w in words]))
+        assert rb.basis == [linalg.primitive_integer(v) for v in oracle]
+        assert rb.bounds["mDegree"] == max(len(evaluate_on_power(w)) for w in words) - 1
