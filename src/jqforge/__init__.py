@@ -20,6 +20,11 @@ The main entry points:
 - :mod:`jqforge.series` for truncated series, equation solving, and
   convergence checks,
 - :mod:`jqforge.cli` for the command line front end.
+
+Importing the package loads `errors`, `scalar2`, `poly` and `action`.  The
+`opalg` re-exports `OpElement`, `chi`, `eval_element`, `format_op`,
+`parse_op` and `phi_reduce` are resolved on first access by the module
+`__getattr__` (PEP 562): a query that never uses them never compiles `opalg`.
 """
 
 from .errors import (
@@ -37,9 +42,10 @@ from .errors import (
 )
 from .poly import Polynomial, format_poly, parse_poly
 from .action import apply_jq, apply_word
-from .opalg import OpElement, chi, eval_element, format_op, parse_op, phi_reduce
 
 __version__ = "0.1.0"
+
+_OPALG_EXPORTS = ("OpElement", "chi", "eval_element", "format_op", "parse_op", "phi_reduce")
 
 __all__ = [
     "JqError",
@@ -66,3 +72,15 @@ __all__ = [
     "phi_reduce",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _OPALG_EXPORTS:
+        from . import opalg
+
+        return getattr(opalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_OPALG_EXPORTS})

@@ -8,6 +8,14 @@ JSON (sorted keys, no whitespace); otherwise it prints the lines that the
 command's text renderer (`_text_*`) draws from the payload alone, so the
 two forms cannot disagree.
 
+Each query runs in its own process, and start-up is most of a typical
+one: compiling a module the command never calls costs as much as the
+command's own algebra.  So the module imports only the standard library,
+`errors`, `scalar2` and `poly`, and each `_cmd_<name>` imports the
+package modules it calls at the top of its own body: `hit` loads
+`hit` and `linalg`, never `opalg`, `relations`, `norms`, `series` or
+`golden`.
+
 Every run resolves an effective config: the defaults, then an optional
 key=value file named by JQFORGE_CONFIG, then flags.  The six keys are
 described once, in `_CONFIG` (key, flag dest, value parser, default,
@@ -36,12 +44,6 @@ from fractions import Fraction
 from .errors import DomainError, NotFoundError, ParseError, VerificationError
 from .scalar2 import INF, format_scalar, in_z2, parse_scalar, two_adic_digits
 from .poly import format_poly, parse_poly
-from .opalg import chi, eval_element, format_classical, format_op, parse_op, phi_reduce
-from . import relations
-from . import norms as norms_mod
-from . import hit as hit_mod
-from . import series as series_mod
-from . import golden
 
 # check: (predicate, "must ..." phrase) beyond the nonnegativity of every int key
 _Key = namedtuple("_Key", "name dest parse default help check")
@@ -155,6 +157,7 @@ def _parse_words_arg(text):
 
 
 def _cmd_act(args):
+    from .opalg import eval_element, format_op, parse_op
     f = parse_poly(args.poly, args.vars)
     e = parse_op(args.op)
     out = eval_element(e, f)
@@ -163,6 +166,7 @@ def _cmd_act(args):
 
 
 def _cmd_adem(args):
+    from . import relations
     if args.words is not None:
         words = _parse_words_arg(args.words)
     elif args.partitions is not None:
@@ -173,16 +177,20 @@ def _cmd_adem(args):
 
 
 def _cmd_chi(args):
+    from .opalg import chi, format_op
     out = chi(args.k, method=args.method)
     return {"k": args.k, "method": args.method, "result": format_op(out)}
 
 
 def _cmd_phi(args):
+    from .opalg import format_classical, format_op, parse_op, phi_reduce
     e = parse_op(args.op)
     return {"op": format_op(e), "result": format_classical(phi_reduce(e))}
 
 
 def _cmd_norm(args):
+    from . import norms as norms_mod
+    from .opalg import parse_op
     e = parse_op(args.op)
     cfg = args.config
     if args.which == "degree":
@@ -199,6 +207,7 @@ def _cmd_norm(args):
 
 
 def _cmd_hit(args):
+    from . import hit as hit_mod
     f = parse_poly(args.poly, args.vars)
     is_hit, cert = hit_mod.hit_decide_graded(f, precision_j=args.config["maxJ"])
     payload = {"hit": is_hit}
@@ -208,11 +217,14 @@ def _cmd_hit(args):
 
 
 def _cmd_cohit(args):
+    from . import hit as hit_mod
     order = hit_mod.cohit_order(args.d)
     return {"d": args.d, "order": "infinite" if order == INF else order}
 
 
 def _cmd_ore(args):
+    from . import relations
+    from .opalg import format_op, parse_op
     theta = parse_op(args.theta)
     eta = parse_op(args.eta)
     n_vars = min(args.config["nVars"], 3)
@@ -227,6 +239,8 @@ def _cmd_ore(args):
 
 
 def _cmd_decompose(args):
+    from . import relations
+    from .opalg import format_op
     if args.mode == "binary":
         out = relations.binary_decompose(args.k)
     else:
@@ -241,6 +255,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_rank(args):
+    from . import relations
     # the search has its own default bounds; widen only on an explicit flag
     n_vars = min(args.nvars, 3) if args.nvars is not None else 3
     deg_bound = args.deg_bound if args.deg_bound is not None else args.d + 2
@@ -250,6 +265,8 @@ def _cmd_rank(args):
 
 
 def _cmd_sode(args):
+    from . import series as series_mod
+    from .opalg import format_op, parse_op
     e = parse_op(args.op)
     rhs = parse_poly(args.rhs, 1)
     center = _parse_scalar_arg(args.center, "center")
@@ -267,12 +284,14 @@ def _cmd_sode(args):
 
 
 def _cmd_geom(args):
+    from . import series as series_mod
     f = parse_poly(args.poly, 1)
     out = series_mod.geometric_inverse(args.k, f, args.config["order"])
     return {"k": args.k, "input": format_poly(f), "result": out.json_obj()}
 
 
 def _cmd_tate(args):
+    from . import series as series_mod
     if args.series == "-":
         text = sys.stdin.read()
     else:
@@ -285,6 +304,7 @@ def _cmd_tate(args):
 
 
 def _cmd_verify_paper(args):
+    from . import golden
     rows = golden.run_ledger()
     counts = {"PASS": 0, "DIVERGES": 0, "FAIL": 0}
     for row in rows:

@@ -10,20 +10,16 @@ re-verified before being handed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .action import apply_jq, monomial_image, word_images
 from .errors import DomainError, VerificationError
 from . import linalg
-from .opalg import sq_on_f2
 from .poly import Polynomial, format_poly, monomials_upto
-from .relations import words_of_degree
 from .scalar2 import INF, binom, in_z2, v2
 
 
-@dataclass
 class HitCertificate:
-    pairs: list
+    def __init__(self, pairs):
+        self.pairs = pairs
 
     def reconstruct(self, arity: int) -> Polynomial:
         total = Polynomial.zero(arity)
@@ -151,6 +147,8 @@ def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:
     module filtration by powers of the positive-degree ideal.  Level 1
     coincides with the hit decision.
     """
+    from .relations import words_of_degree
+
     d = _check_input(f)
     value = 0
     for j in range(1, max_j + 1):
@@ -176,6 +174,8 @@ def classical_hit(f: Polynomial) -> bool:
     Columns are the squaring operations applied to monomials; f is hit
     when some F_2 relation among the columns and f involves f itself.
     """
+    from .opalg import sq_on_f2
+
     d = _check_input(f)
     cols = [
         sq_on_f2(i, frozenset([mu]), f.arity)

@@ -10,7 +10,6 @@ and, when available, a witness that re-verifies the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import element_image
@@ -27,12 +26,10 @@ from .relations import _grid_vectors, words_of_degree
 from .scalar2 import INF, in_z2, v2
 
 
-@dataclass
 class ValuationReport:
-    value: object
-    method: str
-    bounds: dict = field(default_factory=dict)
-    witness: object = None
+    def __init__(self, value, method, bounds=None, witness=None):
+        self.value, self.method, self.witness = value, method, witness
+        self.bounds = {} if bounds is None else bounds
 
     @property
     def norm(self):
@@ -86,7 +83,7 @@ def adem_valuation(e: OpElement) -> ValuationReport:
         combo = ech.membership(target)
         if combo is not None:
             witness = OpElement({w: c for w, c in combo.items() if c != 0})
-            return ValuationReport(j, "ademWordLength", {"mDegree": d + 1}, witness)
+            return ValuationReport(j, "ademWordLength", {"mDegree": d}, witness)
     raise DomainError("element of positive degree outside the span of its own words")
 
 

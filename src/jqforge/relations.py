@@ -25,7 +25,6 @@ kills every polynomial in n variables (the proof is in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import word_images
@@ -83,12 +82,10 @@ def binary_partition_words(k: int):
     return sorted((w for w in compositions(k) if all(is_pow2(p) for p in w)), key=word_key)
 
 
-@dataclass
 class RelationBasis:
-    degree: int
-    words: list
-    basis: list
-    bounds: dict = field(default_factory=dict)
+    def __init__(self, degree, words, basis, bounds=None):
+        self.degree, self.words, self.basis = degree, words, basis
+        self.bounds = {} if bounds is None else bounds
 
     def elements(self):
         return [

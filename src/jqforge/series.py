@@ -10,7 +10,7 @@ an independent residual pass before being returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .action import apply_jq
@@ -230,11 +230,8 @@ def series_apply_op(e: OpElement, s: TruncatedSeries) -> TruncatedSeries:
 # -- Tate membership ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TateReport:
-    verdict: str
-    profile: list
-    window: tuple
+class TateReport(namedtuple("TateReport", "verdict profile window")):
+    __slots__ = ()
 
     def json_obj(self):
         return {
@@ -409,11 +406,11 @@ def sode_solve(eq: Sode, xi0, a0, order: int) -> TruncatedSeries:
     return out
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    verified_through: int
-    failure_degree: object = None
-    failure_coefficient: object = None
+class ResidualReport(
+    namedtuple("ResidualReport", "verified_through failure_degree failure_coefficient",
+               defaults=(None, None))
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -1,13 +1,15 @@
-"""Every module-level import in the package is used by its module, and
-every private module-level function or class is used somewhere in it.
+"""Every import in the package is used where it is made, and every private
+module-level function or class is used somewhere in it.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree: a name bound by a top-level `import` or `from ... import` must
 appear somewhere else in the module as a name or as the base of an
-attribute.  `__init__.py` is exempt, because its imports are the
-package's re-exports.  A top-level `def _name` or `class _Name` must be
-referenced, as a name or an attribute, outside its own body in some
-module of the package; one that only tests reach is dead code.
+attribute, and a name bound by an import inside a function body must
+appear so in that function.  `__init__.py` is exempt, because its
+imports are the package's re-exports.  A top-level `def _name` or
+`class _Name` must be referenced, as a name or an attribute, outside its
+own body in some module of the package; one that only tests reach is
+dead code.
 """
 
 import ast
@@ -19,18 +21,28 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jqforge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source):
-    tree = ast.parse(source)
+def _unused(imports, scope):
+    """(line, name) of each name the import statements bind that scope never reads."""
     bound = {}
-    for node in tree.body:
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted((line, name) for name, line in bound.items() if name not in used)
+    used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+    return {(line, name) for name, line in bound.items() if name not in used}
+
+
+def unused_imports(source):
+    """(line, name) of each unused import, in the module body or in any function body."""
+    tree = ast.parse(source)
+    out = _unused(tree.body, tree)
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= _unused(ast.walk(func), func)
+    return sorted(out)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -42,6 +54,15 @@ def test_the_check_sees_an_unused_import():
     source = "import os\nfrom math import gcd, lcm\nfrom . import relations\n"
     source += "print(gcd, relations.x)\n"
     assert unused_imports(source) == [(1, "os"), (2, "lcm")]
+
+
+def test_the_check_sees_an_unused_import_in_a_function():
+    # chi is never read; format_op is read in the nested g, which counts for f;
+    # g's own sys is read only at module level, which does not count for g
+    source = "import sys\ndef f():\n    from .opalg import chi, format_op\n"
+    source += "    def g():\n        import sys\n        return format_op\n    return g\n"
+    source += "print(sys, f)\n"
+    assert unused_imports(source) == [(3, "chi"), (5, "sys")]
 
 
 def unreferenced_private_definitions(sources):

@@ -26,6 +26,8 @@ def test_adem_valuation_generators():
         assert rep.value == k - 1
         assert rep.norm == F(1, 2 ** (k - 1))
         assert rep.method == "ademWordLength"
+        # solved on the one-variable grid of degree k, which `adem --k k` also reports as k
+        assert rep.bounds == {"mDegree": k}
 
 
 def test_adem_valuation_word_21():
