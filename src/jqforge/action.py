@@ -18,11 +18,14 @@ kernel:
   plain ``{exponents: int}`` dicts, sharing right factors between words
   (the image of Jq2.Jq1.Jq1 starts from that of Jq1.Jq1);
 - ``element_image(terms, mu)`` sums those images for an element
-  ``{word: coeff}`` and drops the terms that cancel.
+  ``{word: coeff}`` and drops the terms that cancel;
+- ``apply_element(terms, f)``, the only entry point for a Polynomial, sums
+  ``c * element_image(terms, mu)`` over the terms ``c * x^mu`` of f.
+  ``apply_jq``, ``apply_word``, ``apply_psi_q`` and ``apply_total`` each
+  hand it one element.
 
-``apply_jq`` and ``apply_word`` on a Polynomial are built on the same cached
-images.  Words act by composition with the rightmost entry applied first,
-matching the concatenation product of the operator algebra.
+Words act by composition with the rightmost entry applied first, matching
+the concatenation product of the operator algebra.
 """
 
 from __future__ import annotations
@@ -105,17 +108,22 @@ def element_image(terms, mu) -> dict:
     return {exps: v for exps, v in acc.items() if v != 0}
 
 
+def apply_element(terms, f: Polynomial) -> Polynomial:
+    """Image of f under the element {word: coeff}, monomial by monomial."""
+    out = {}
+    for mu, c in f.terms.items():
+        for exps, v in element_image(terms, mu).items():
+            out[exps] = out.get(exps, 0) + c * v
+    return Polynomial(f.arity, out)
+
+
 def apply_jq(k: int, f: Polynomial) -> Polynomial:
-    """Apply the degree-k operation to f, term by term."""
+    """Apply the degree-k operation to f."""
     if k < 0:
         raise DomainError("operation degree must be nonnegative")
     if k == 0:
         return f
-    terms = {}
-    for exps, c in f.terms.items():
-        for raised, coeff in monomial_image(k, exps):
-            terms[raised] = terms.get(raised, Fraction(0)) + c * coeff
-    return Polynomial(f.arity, terms)
+    return apply_element({(k,): 1}, f)
 
 
 def apply_total(f: Polynomial, max_deg=None) -> Polynomial:
@@ -124,10 +132,7 @@ def apply_total(f: Polynomial, max_deg=None) -> Polynomial:
     On a polynomial of degree d only pieces up to degree d contribute, so the
     sum is finite.  max_deg truncates the output degree when given.
     """
-    top = f.degree()
-    out = Polynomial.zero(f.arity)
-    for k in range(0, max(top, 0) + 1):
-        out = out + apply_jq(k, f)
+    out = apply_psi_q(1, f)
     if max_deg is not None:
         out = Polynomial(f.arity, {e: c for e, c in out.terms.items() if sum(e) <= max_deg})
     return out
@@ -135,22 +140,13 @@ def apply_total(f: Polynomial, max_deg=None) -> Polynomial:
 
 def apply_word(word, f: Polynomial) -> Polynomial:
     """Apply a composite word, rightmost factor first."""
-    out = f
-    for k in reversed(tuple(word)):
-        out = apply_jq(k, out)
-    return out
+    return apply_element({tuple(word): 1}, f)
 
 
 def apply_psi_q(q, f: Polynomial) -> Polynomial:
-    """Apply the q-weighted total operation: sum over k of q^k times the k-piece."""
+    """Sum over k of q^k times the k-piece applied to f; pieces past deg f vanish."""
     q = Fraction(q)
-    top = f.degree()
-    out = Polynomial.zero(f.arity)
-    power = Fraction(1)
-    for k in range(0, max(top, 0) + 1):
-        out = out + power * apply_jq(k, f)
-        power *= q
-    return out
+    return apply_element({(k,) if k else (): q**k for k in range(f.degree() + 1)}, f)
 
 
 def jq_on_inverse_monomial(k: int) -> tuple:

@@ -228,7 +228,7 @@ def _cmd_ore(args):
     theta = parse_op(args.theta)
     eta = parse_op(args.eta)
     n_vars = min(args.config["nVars"], 3)
-    x, y = relations.ore_solve(theta, eta, n_vars=n_vars, deg_bound=None)
+    x, y = relations.ore_solve(theta, eta, n_vars=n_vars)
     return {
         "theta": format_op(theta),
         "eta": format_op(eta),
@@ -256,12 +256,9 @@ def _cmd_decompose(args):
 
 def _cmd_rank(args):
     from . import relations
-    # the search has its own default bounds; widen only on an explicit flag
-    n_vars = min(args.nvars, 3) if args.nvars is not None else 3
-    deg_bound = args.deg_bound if args.deg_bound is not None else args.d + 2
-    deg_bound = max(deg_bound, args.d + 1)
-    r = relations.rank_estimate(args.d, n_vars=n_vars, deg_bound=deg_bound)
-    return {"d": args.d, "rank": r, "bounds": {"nVars": n_vars, "degBound": deg_bound}}
+    n_vars = min(args.config["nVars"], 3)
+    r = relations.rank_estimate(args.d, n_vars=n_vars)
+    return {"d": args.d, "rank": r, "bounds": {"nVars": n_vars, "degBound": args.d + 2}}
 
 
 def _cmd_sode(args):

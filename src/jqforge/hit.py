@@ -10,7 +10,7 @@ re-verified before being handed back.
 
 from __future__ import annotations
 
-from .action import apply_jq, monomial_image, word_images
+from .action import apply_jq, word_images
 from .errors import DomainError, VerificationError
 from . import linalg
 from .poly import Polynomial, format_poly, monomials_upto
@@ -22,10 +22,7 @@ class HitCertificate:
         self.pairs = pairs
 
     def reconstruct(self, arity: int) -> Polynomial:
-        total = Polynomial.zero(arity)
-        for k, cofactor in self.pairs:
-            total = total + apply_jq(k, cofactor)
-        return total
+        return sum((apply_jq(k, cofactor) for k, cofactor in self.pairs), Polynomial.zero(arity))
 
     def witness_json(self):
         return [
@@ -104,25 +101,30 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
         _verify_certificate(cert, f)
         return True, cert
     top = d if precision_j is None else min(d, precision_j + 1)
-    gens = []
-    for i in range(1, top):
-        for mu in monomials_upto(f.arity, d - i):
-            if sum(mu) != d - i:
-                continue
-            col = monomial_image(i, mu)
-            if col:
-                gens.append(((i, mu), dict(col)))
-    lattice = linalg.Z2Lattice(gens)
-    combo = lattice.contains(f.terms)
+    gens = _columns(f.arity, d, {i: [(i,)] for i in range(1, top)})
+    combo = linalg.Z2Lattice(gens).contains(f.terms)
     if combo is None:
         return False, None
     grouped = {}
-    for (i, mu), c in combo.items():
+    for ((i,), mu), c in combo.items():
         grouped.setdefault(i, {})[mu] = c
     pairs = [(i, Polynomial(f.arity, terms)) for i, terms in sorted(grouped.items())]
     cert = HitCertificate(pairs)
     _verify_certificate(cert, f)
     return True, cert
+
+
+def _columns(arity, d, words_by_degree):
+    """Nonzero generators ((w, mu), w(x^mu)), w in words_by_degree[b] and |mu| = d - b."""
+    gens = []
+    for b, pool in words_by_degree.items():
+        for mu in monomials_upto(arity, d - b):
+            if sum(mu) != d - b:
+                continue
+            for w, col in zip(pool, word_images(pool, mu)):
+                if col:
+                    gens.append(((w, mu), col))
+    return gens
 
 
 def _verify_certificate(cert: HitCertificate, f: Polynomial):
@@ -152,15 +154,8 @@ def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:
     d = _check_input(f)
     value = 0
     for j in range(1, max_j + 1):
-        gens = []
-        for b in range(j, d):
-            pool = [w for w in words_of_degree(b) if len(w) >= j]
-            for mu in monomials_upto(f.arity, d - b):
-                if sum(mu) != d - b:
-                    continue
-                for w, col in zip(pool, word_images(pool, mu)):
-                    if col:
-                        gens.append(((w, mu), col))
+        pools = {b: [w for w in words_of_degree(b) if len(w) >= j] for b in range(j, d)}
+        gens = _columns(f.arity, d, pools)
         if gens and linalg.Z2Lattice(gens).contains(f.terms) is not None:
             value = j
         else:

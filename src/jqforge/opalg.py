@@ -19,7 +19,7 @@ import math
 import re
 from fractions import Fraction
 
-from .action import apply_word, element_image
+from .action import apply_element, element_image
 from .errors import DomainError, NotInZ2Error, ParseError
 from .poly import Polynomial, monomials_upto, split_signed_terms
 from .scalar2 import binom, format_scalar, in_z2, mod2_reduce, parse_scalar
@@ -371,10 +371,7 @@ def sq_on_f2(k: int, terms: frozenset, arity: int) -> frozenset:
 
 
 def eval_element(e: OpElement, f: Polynomial) -> Polynomial:
-    out = Polynomial.zero(f.arity)
-    for w, c in e.terms.items():
-        out = out + c * apply_word(w, f)
-    return out
+    return apply_element(e.terms, f)
 
 
 def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None) -> bool:

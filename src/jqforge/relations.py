@@ -226,20 +226,21 @@ def binary_decompose(k: int) -> OpElement:
     return out
 
 
-def rank_estimate(d: int, n_vars: int = 3, deg_bound=None) -> int:
-    """Rank of the degree-d words as operators, within the stated bounds."""
+def rank_estimate(d: int, n_vars: int = 3) -> int:
+    """Rank of the degree-d words as operators in n_vars variables, on the grid to d + 2.
+
+    The grid to degree d already gives the exact rank (`opalg.equal_by_evaluation`).
+    """
     if d < 1:
         raise DomainError("degree must be positive")
-    if deg_bound is None:
-        deg_bound = d + 2
-    grid = monomials_upto(n_vars, deg_bound)
+    grid = monomials_upto(n_vars, d + 2)
     ech = linalg.SparseEchelon()
     for i, row in enumerate(_grid_vectors([{w: 1} for w in words_of_degree(d)], grid)):
         ech.insert(row, i)
     return ech.rank
 
 
-def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3, deg_bound=None):
+def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3):
     """Common right multiples: find nonzero x, y with theta*x = eta*y.
 
     The default search starts with x in degree deg(theta) + deg(eta) and
@@ -247,8 +248,9 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
     words of each degree; the lowest degree often carries only degenerate
     nullspace vectors (one side zero), which are skipped.  Candidates come
     from the exact nullspace of the two-variable grid system and are
-    re-verified in n_vars variables before being returned; raises
-    NotFoundError when the sets are exhausted.
+    re-verified in n_vars variables, by a sweep to the degree of theta*x,
+    before being returned; raises NotFoundError when the sets are
+    exhausted.
     """
     if not theta.terms or not eta.terms:
         raise DomainError("theta and eta must be nonzero")
@@ -285,13 +287,13 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
             raise DomainError("word sets must be single-degree")
         if p + dx.pop() != q + dy.pop():
             raise DomainError("word sets are not degree-compatible")
-        found = _ore_attempt(theta, eta, wx, wy, n_vars, deg_bound)
+        found = _ore_attempt(theta, eta, wx, wy, n_vars)
         if found is not None:
             return found
     raise NotFoundError("no common multiple over the given word sets")
 
 
-def _ore_attempt(theta, eta, wx, wy, n_vars, deg_bound):
+def _ore_attempt(theta, eta, wx, wy, n_vars):
     """One nullspace pass over fixed word sets; verified result or None."""
     top = theta.degree() + max(sum(w) for w in wx)
     elements = [(theta * OpElement.from_word(w)).terms for w in wx]
@@ -302,18 +304,17 @@ def _ore_attempt(theta, eta, wx, wy, n_vars, deg_bound):
         y = OpElement({w: c for w, c in zip(wy, vec[nx:]) if c != 0})
         if not x.terms or not y.terms:
             continue
-        if equal_by_evaluation(theta * x, eta * y, n_vars=n_vars, deg_bound=deg_bound):
+        if equal_by_evaluation(theta * x, eta * y, n_vars=n_vars):
             return x, y
     return None
 
 
-def fraction_add(a: OpElement, b_inv: OpElement, c: OpElement, d_inv: OpElement, bounds=None):
+def fraction_add(a: OpElement, b_inv: OpElement, c: OpElement, d_inv: OpElement):
     """Sum of two right fractions a*b^{-1} + c*d^{-1} over a common denominator.
 
-    Solves b*d1 = d*b1 by the Ore search and returns the pair
-    (a*d1 + c*b1, b*d1).  Zero numerators short-circuit.  The optional
-    bounds record {"nVars": ..., "degBound": ...} tightens or loosens the
-    verification sweep inside the Ore search.
+    Solves b*d1 = d*b1 by the Ore search, with its default verification,
+    and returns the pair (a*d1 + c*b1, b*d1).  Zero numerators
+    short-circuit.
     """
     if not b_inv.terms or not d_inv.terms:
         raise DomainError("denominators must be nonzero")
@@ -321,11 +322,5 @@ def fraction_add(a: OpElement, b_inv: OpElement, c: OpElement, d_inv: OpElement,
         return c, d_inv
     if not c.terms:
         return a, b_inv
-    kw = {}
-    if bounds:
-        if "nVars" in bounds:
-            kw["n_vars"] = bounds["nVars"]
-        if "degBound" in bounds:
-            kw["deg_bound"] = bounds["degBound"]
-    d1, b1 = ore_solve(b_inv, d_inv, **kw)
+    d1, b1 = ore_solve(b_inv, d_inv)
     return a * d1 + c * b1, b_inv * d1

@@ -68,20 +68,13 @@ class TruncatedSeries:
             return cls(f.arity, order, f.terms)
         if f.arity != 1:
             raise DomainError("centered series require one variable")
-        return cls(1, order, _recenter_terms(f, Fraction(center), order), center)
+        return cls(1, order, _shift(f.terms, Fraction(center)), center)
 
     def to_polynomial(self) -> Polynomial:
         """Exact polynomial expansion of the stored terms."""
         if self.center is None:
             return Polynomial(self.arity, self.terms)
-        c = self.center
-        out = {}
-        for (n,), a in self.terms.items():
-            for j in range(n + 1):
-                coeff = a * binom(n, j) * (-c) ** (n - j)
-                if coeff:
-                    out[(j,)] = out.get((j,), Fraction(0)) + coeff
-        return Polynomial(1, out)
+        return Polynomial(1, _shift(self.terms, -self.center))
 
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -201,16 +194,16 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _recenter_terms(f: Polynomial, c: Fraction, order: int):
-    """Coefficients of f in powers of (x - c), up to the given order."""
+def _shift(terms, c: Fraction):
+    """Coefficients of p(x + c) from those {(m,): a} of p(x); zero sums are kept.
+
+    Shifting by c expands p in powers of (x - c), and shifting by -c undoes it.
+    """
     out = {}
-    for (m,), a in f.terms.items():
-        for n in range(min(m, order) + 1):
-            coeff = a * binom(m, n) * c ** (m - n)
-            if coeff:
-                key = (n,)
-                out[key] = out.get(key, Fraction(0)) + coeff
-    return {e: c for e, c in out.items() if c}
+    for (m,), a in terms.items():
+        for n in range(m + 1):
+            out[(n,)] = out.get((n,), Fraction(0)) + a * binom(m, n) * c ** (m - n)
+    return out
 
 
 def series_apply_op(e: OpElement, s: TruncatedSeries) -> TruncatedSeries:
@@ -220,11 +213,10 @@ def series_apply_op(e: OpElement, s: TruncatedSeries) -> TruncatedSeries:
     top deg(e) coefficients of a centered image are then provisional,
     which is why residual checks stop short by the operator degree.
     """
-    if s.center is None:
-        img = eval_element(e, Polynomial(s.arity, s.terms))
-        return TruncatedSeries(s.arity, s.order, img.terms)
-    img = eval_element(e, s.to_polynomial())
-    return TruncatedSeries(1, s.order, _recenter_terms(img, s.center, s.order), s.center)
+    img = eval_element(e, s.to_polynomial()).terms
+    if s.center is not None:
+        img = _shift(img, s.center)
+    return TruncatedSeries(s.arity, s.order, img, s.center)
 
 
 # -- Tate membership ---------------------------------------------------
@@ -365,13 +357,10 @@ def _coefficient_equations(eq: Sode, xi0, order: int):
     e = eq.element
     g = eq.degree()
     top = order - g
-    cols = []
-    for n in range(order + 1):
-        basis = TruncatedSeries(1, order + g, {(n,): Fraction(1)}, xi0)
-        img = eval_element(e, basis.to_polynomial())
-        cols.append(_recenter_terms(img, xi0, order + g))
+    basis = [TruncatedSeries(1, order + g, {(n,): Fraction(1)}, xi0) for n in range(order + 1)]
+    cols = [series_apply_op(e, b).terms for b in basis]
     rows = [[cols[n].get((m,), Fraction(0)) for n in range(order + 1)] for m in range(top + 1)]
-    rhs_terms = _recenter_terms(eq.rhs, xi0, order + g)
+    rhs_terms = _shift(eq.rhs.terms, xi0)
     rhs = [rhs_terms.get((m,), Fraction(0)) for m in range(top + 1)]
     return rows, rhs
 

@@ -298,6 +298,20 @@ def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["config"]["nVars"] == 7
 
 
+def test_config_file_nvars_reaches_rank_bounds(tmp_path, capsys, monkeypatch):
+    # rank reads nVars from the resolved config, like ore, capped at 3
+    cfg = tmp_path / "jqforge.cfg"
+    cfg.write_text("nVars = 2\n")
+    monkeypatch.setenv("JQFORGE_CONFIG", str(cfg))
+    _, out, _ = run(capsys, "rank", "--d", "4", "--json")
+    obj = json.loads(out)
+    assert obj["config"]["nVars"] == obj["bounds"]["nVars"] == 2
+    assert (obj["rank"], obj["bounds"]["degBound"]) == (5, 6)
+    cfg.write_text("nVars = 7\n")
+    _, out, _ = run(capsys, "rank", "--d", "3", "--json")
+    assert json.loads(out)["bounds"]["nVars"] == 3
+
+
 def test_config_file_bad_key_exit_2(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "jqforge.cfg"
     cfg.write_text("bogusKey=3\n")

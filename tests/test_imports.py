@@ -6,7 +6,10 @@ tree: a name bound by a top-level `import` or `from ... import` must
 appear somewhere else in the module as a name or as the base of an
 attribute, and a name bound by an import inside a function body must
 appear so in that function.  `__init__.py` is exempt, because its
-imports are the package's re-exports.  A top-level `def _name` or
+imports are the package's re-exports.  Only `action` itself may reach
+the cached per-monomial image `monomial_image`; every other module acts
+through `word_images`, `element_image` or `apply_element`, so that there
+is one path from words to polynomials.  A top-level `def _name` or
 `class _Name` must be referenced, as a name or an attribute, outside its
 own body in some module of the package; one that only tests reach is
 dead code.
@@ -63,6 +66,32 @@ def test_the_check_sees_an_unused_import_in_a_function():
     source += "    def g():\n        import sys\n        return format_op\n    return g\n"
     source += "print(sys, f)\n"
     assert unused_imports(source) == [(3, "chi"), (5, "sys")]
+
+
+def importers(sources, name):
+    """Sorted modules that import name, at module level or inside a function."""
+    return sorted(
+        mod
+        for mod, src in sources.items()
+        if any(
+            isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)
+            for node in ast.walk(ast.parse(src))
+        )
+    )
+
+
+def test_only_action_imports_the_monomial_image():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert importers(sources, "monomial_image") == []
+
+
+def test_the_check_sees_an_import_of_the_monomial_image():
+    sources = {
+        "hit": "def f():\n    from .action import word_images, monomial_image as mi\n",
+        "series": "from .action import apply_jq\n",
+        "norms": "from jqforge.action import monomial_image\n",
+    }
+    assert importers(sources, "monomial_image") == ["hit", "norms"]
 
 
 def unreferenced_private_definitions(sources):

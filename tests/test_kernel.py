@@ -1,11 +1,25 @@
-"""The integer evaluation kernel against the Polynomial path of the action."""
+"""The integer evaluation kernel and every Polynomial action built on it.
 
+The oracle shares no code with the kernel: the total operation is the ring
+homomorphism x_i -> x_i + x_i^2, so the degree-k image of a monomial is a
+graded part of a product of powers of x_i + x_i^2, expanded by Polynomial
+arithmetic, and words and elements are composed from it letter by letter.
+"""
+
+import functools
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jqforge.action import apply_word, element_image, monomial_image, word_images
+from jqforge.action import (
+    apply_psi_q,
+    apply_total,
+    apply_word,
+    element_image,
+    monomial_image,
+    word_images,
+)
 from jqforge.opalg import OpElement, eval_element
 from jqforge.poly import Polynomial
 from jqforge.relations import adem_nullspace
@@ -51,15 +65,56 @@ def elements(draw):
     return {w: c for w, c in terms.items() if c}
 
 
-def _expanded_image(k, mu):
-    """Degree-k piece of the product of (x_i + x_i^2)^e_i, by Polynomial arithmetic."""
+@functools.lru_cache(maxsize=None)
+def _total_image(mu):
+    """The product of (x_i + x_i^2)^e_i, by Polynomial arithmetic."""
     n = len(mu)
     total = Polynomial.constant(1, n)
     for i, e in enumerate(mu):
         x = Polynomial.variable(i + 1, n)
         for _ in range(e):
             total = total * (x + x * x)
-    return total.graded_part(sum(mu) + k).terms
+    return total
+
+
+def _expanded_image(k, mu):
+    """Degree-k piece of the product of (x_i + x_i^2)^e_i."""
+    return _total_image(tuple(mu)).graded_part(sum(mu) + k).terms
+
+
+def oracle_jq(k, f):
+    out = Polynomial.zero(f.arity)
+    for mu, c in f.terms.items():
+        out = out + c * Polynomial(f.arity, _expanded_image(k, mu))
+    return out
+
+
+def oracle_word(w, f):
+    for k in reversed(w):
+        f = oracle_jq(k, f)
+    return f
+
+
+def oracle_element(terms, f):
+    out = Polynomial.zero(f.arity)
+    for w, c in terms.items():
+        out = out + c * oracle_word(w, f)
+    return out
+
+
+def oracle_psi_q(q, f):
+    out = Polynomial.zero(f.arity)
+    for k in range(max(f.degree(), 0) + 1):
+        out = out + q**k * oracle_jq(k, f)
+    return out
+
+
+@st.composite
+def polynomials(draw):
+    """Up to four terms of degree at most 3, Fraction coefficients, 1 to 3 variables."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    return Polynomial(n, draw(st.dictionaries(exps, coefficients, max_size=4)))
 
 
 @ORACLE
@@ -74,12 +129,12 @@ def test_monomial_image_is_the_graded_piece_of_x_plus_x_squared(k, mu):
 @ORACLE
 @given(word_lists(), monomials)
 @example([(3,), (2, 1), (1, 2), (1, 1, 1)], (2,))  # 0, 6, 4 and 24 times x^5
-def test_word_images_match_apply_word(ws, mu):
+def test_word_images_match_the_oracle(ws, mu):
     got = word_images(ws, mu)
     assert len(got) == len(ws)
     for w, img in zip(ws, got):
         assert all(type(c) is int for c in img.values())
-        assert img == apply_word(w, Polynomial.monomial(mu)).terms
+        assert img == oracle_word(w, Polynomial.monomial(mu)).terms
 
 
 @ORACLE
@@ -87,10 +142,26 @@ def test_word_images_match_apply_word(ws, mu):
 @example({(3,): 3, (2, 1): -6, (1, 2): 3, (1, 1, 1): 1}, (2,))
 @example({(3,): 3, (2, 1): -6, (1, 2): 3, (1, 1, 1): 1}, (1, 1))
 @example({(2,): Fraction(1, 3), (1, 1): Fraction(-1, 6)}, (2, 0, 1))
-def test_element_image_matches_eval_element(terms, mu):
+def test_element_image_matches_the_oracle(terms, mu):
     got = element_image(terms, mu)
     assert all(c != 0 for c in got.values())
-    assert got == eval_element(OpElement(terms), Polynomial.monomial(mu)).terms
+    assert got == oracle_element(terms, Polynomial.monomial(mu)).terms
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(elements(), polynomials(), coefficients, st.integers(0, 8))
+@example({(2, 1): 1, (1, 2): -1}, Polynomial(2, {(1, 1): Fraction(1, 3), (2, 0): -1}), 2, 3)
+def test_polynomial_actions_match_the_oracle(terms, f, q, max_deg):
+    for w in terms:
+        assert apply_word(w, f) == oracle_word(w, f)
+    assert eval_element(OpElement(terms), f) == oracle_element(terms, f)
+    total = oracle_psi_q(1, f)
+    assert apply_total(f) == total
+    assert apply_total(f, max_deg=max_deg) == Polynomial(
+        f.arity, {e: c for e, c in total.terms.items() if sum(e) <= max_deg}
+    )
+    assert apply_psi_q(q, f) == oracle_psi_q(q, f)
+    assert apply_psi_q(0, f) == f
 
 
 def test_relation_images_cancel_completely_on_one_variable():
@@ -106,7 +177,7 @@ def test_mutating_results_does_not_leak_into_later_calls(ws, terms, mu):
     for img in first:
         img.clear()
         img[(99,) * len(mu)] = 7
-    assert word_images(ws, mu) == [apply_word(w, Polynomial.monomial(mu)).terms for w in ws]
+    assert word_images(ws, mu) == [oracle_word(w, Polynomial.monomial(mu)).terms for w in ws]
     before = element_image(terms, mu)
     element_image(terms, mu)[(99,) * len(mu)] = 7
     assert element_image(terms, mu) == before
