@@ -249,7 +249,7 @@ def _cmd_decompose(args):
         "k": args.k,
         "mode": args.mode,
         "result": format_op(out),
-        "bounds": {"nVars": relations.GRID_VARS},
+        "bounds": {"nVars": relations.check_vars(args.k)},
     }
     return _with_digits(payload, args.config["digits"], out.terms.values())
 

@@ -1,25 +1,31 @@
 """Discovery of relations between operator words by exact linear algebra.
 
-Every constraint row comes from one builder, `_grid_vectors`.  It acts
-with each element {word: coeff} on every monomial of a grid
-{m in N^n : |m| <= d} through the evaluation kernel, and keys the
-coefficient of x^exps in the image of the i-th grid monomial by
-(i, exps).  For a combination of words of degree at most d the grid is
-the exact system, not a sample: its vector is zero exactly when it
-kills every polynomial in n variables (the proof is in
-`opalg.equal_by_evaluation`).
+Two kinds of columns feed the eliminations.
 
-- The one-variable grid is the exact single-variable system.
-  `adem_nullspace` and `norms.adem_valuation` solve on it, so their
+- Coordinates (`witt`).  Over Q the operator algebra is the enveloping
+  algebra of the Witt algebra W+, whose degree-d part has dimension
+  p(d); a word's coordinates are exact in every number of variables.
+  `q12_decompose` (`SparseEchelon` membership), `binary_decompose`
+  (`Z2Lattice` membership), the Ore search (the first dependent column
+  of one `SparseEchelon`) and the choice of independent words in
+  `rank_estimate` solve on them.
+- Grid rows, from one builder, `_grid_vectors`.  It acts with each
+  element {word: coeff} on every monomial of a grid
+  {m in N^n : |m| <= d} through the evaluation kernel, and keys the
+  coefficient of x^exps in the image of the i-th grid monomial by
+  (i, exps).  For a combination of words of degree at most d the grid
+  is the exact system in n variables, not a sample (the proof is in
+  `opalg.equal_by_evaluation`).  `adem_nullspace` and
+  `norms.adem_valuation` solve on the one-variable grid, so their
   relations hold on every power of one variable, and need not hold in
-  more.
-- The grid in `GRID_VARS` = 2 variables decides identities in two
-  variables.  `q12_decompose`, `binary_decompose` and the Ore search
-  solve on it.  From degree 9 two variables no longer separate all
-  words, so what is found there is an identity in two variables only.
-  Decompositions are re-verified in two variables, and Ore pairs in the
-  caller's number of variables.
-- `rank_estimate` counts the rank on a grid of the caller's size.
+  more; `rank_estimate` counts its rank in n variables on it.
+
+Every answer found in coordinates is re-checked through the kernel,
+an independent path, by `equal_by_evaluation` to the degree of what it
+compares.  Decompositions of degree k are re-checked in
+`check_vars(k)` variables, where that check is a proof in the algebra
+through degree 8 and a proof in three variables above; Ore pairs in the
+caller's number of variables.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .errors import (
     ResolutionFailedError,
     VerificationError,
 )
-from . import linalg
+from . import linalg, witt
 from .opalg import (
     OpElement,
     compositions,
@@ -46,9 +52,6 @@ from .opalg import (
 )
 from .poly import monomials_upto
 from .scalar2 import in_z2
-
-# variables of the grid on which decompositions and Ore multiples are solved
-GRID_VARS = 2
 
 
 def t_partition_words(k: int, t: int):
@@ -173,8 +176,7 @@ def q12_decompose(k: int) -> OpElement:
     """Express the degree-k generator through words with factors 1 and 2 only.
 
     Solved as exact membership of the generator in the span of all
-    degree-k words over factors 1 and 2, on the two-variable grid to
-    degree k, which decides identities in two variables.  Expansions
+    degree-k words over factors 1 and 2, in coordinates.  Expansions
     found only through two-factor words do not survive several
     variables, which is why the full word set is searched at once.
     """
@@ -183,7 +185,7 @@ def q12_decompose(k: int) -> OpElement:
     if k <= 2:
         return OpElement.jq(k)
     words = [w for w in words_of_degree(k) if all(p in (1, 2) for p in w)]
-    *cols, target = _grid_vectors([{w: 1} for w in words + [(k,)]], monomials_upto(GRID_VARS, k))
+    *cols, target = witt.word_coordinates(words + [(k,)])
     ech = linalg.SparseEchelon()
     for w, col in zip(words, cols):
         ech.insert(col, w)
@@ -195,8 +197,20 @@ def q12_decompose(k: int) -> OpElement:
     return out
 
 
+def check_vars(k: int) -> int:
+    """Variables of the kernel re-check of a degree-k decomposition.
+
+    Through degree 8 the words of each degree have rank p(d) in two
+    variables, so a two-variable check is a proof in the algebra.  At
+    degree 9 that rank is 29, not p(9) = 30, so from there the check
+    runs in three variables, where the rank is p(d) at least through
+    degree 12.
+    """
+    return 2 if k <= 8 else 3
+
+
 def _verify_decomposition(k: int, out: OpElement):
-    if not equal_by_evaluation(OpElement.jq(k), out, n_vars=GRID_VARS):
+    if not equal_by_evaluation(OpElement.jq(k), out, n_vars=check_vars(k)):
         raise VerificationError(f"decomposition of Jq{k} fails evaluation: {format_op(out)}")
 
 
@@ -204,16 +218,19 @@ def binary_decompose(k: int) -> OpElement:
     """Express the degree-k generator through power-of-two factors with Z_2 coefficients.
 
     Membership of the generator in the 2-adic lattice spanned by the
-    binary-partition words is decided by valuation-aware elimination, so
-    the returned coefficients always have odd denominators.  The lattice
-    rows are the two-variable grid to degree k.
+    binary-partition words is decided by valuation-aware elimination on
+    their coordinates, so the returned coefficients always have odd
+    denominators.  The coordinates have even denominators (1/2 in E_2),
+    which does not matter: whether a combination of the words has
+    coefficients in Z_2 does not depend on the injective linear map that
+    gives the columns.
     """
     if k < 1:
         raise DomainError("k must be positive")
     if k & (k - 1) == 0:
         raise IndecomposableError(f"the degree-{k} generator is not decomposable this way")
     words = binary_partition_words(k)
-    *cols, target = _grid_vectors([{w: 1} for w in words + [(k,)]], monomials_upto(GRID_VARS, k))
+    *cols, target = witt.word_coordinates(words + [(k,)])
     combo = linalg.Z2Lattice(zip(words, cols)).contains(target)
     if combo is None:
         raise ResolutionFailedError(
@@ -226,17 +243,44 @@ def binary_decompose(k: int) -> OpElement:
     return out
 
 
+def _independent(words):
+    """(word, coordinates) for each word that is not a combination of earlier ones.
+
+    The words are of one degree d, whose coordinates span at most p(d)
+    dimensions, so the scan stops once it has found p(d).
+    """
+    out, dim = [], witt.dimension(sum(words[0]))
+    ech = linalg.SparseEchelon()
+    for w, c in zip(words, witt.word_coordinates(words)):
+        if ech.insert(c, w):
+            out.append((w, c))
+            if len(out) == dim:
+                break
+    return out
+
+
 def rank_estimate(d: int, n_vars: int = 3) -> int:
     """Rank of the degree-d words as operators in n_vars variables, on the grid to d + 2.
 
-    The grid to degree d already gives the exact rank (`opalg.equal_by_evaluation`).
+    The first p(d) words that are independent in coordinates span the
+    rest in the algebra, so only they are ranked: one row per grid key
+    (i, exps) and one column per word.  The grid to degree d already
+    gives the exact rank (`opalg.equal_by_evaluation`), and the sweep
+    stops once the rank reaches the number of words, which bounds it.
     """
     if d < 1:
         raise DomainError("degree must be positive")
-    grid = monomials_upto(n_vars, d + 2)
+    basis = [w for w, _ in _independent(words_of_degree(d))]
     ech = linalg.SparseEchelon()
-    for i, row in enumerate(_grid_vectors([{w: 1} for w in words_of_degree(d)], grid)):
-        ech.insert(row, i)
+    for i, mu in enumerate(monomials_upto(n_vars, d + 2)):
+        rows = {}
+        for j, image in enumerate(word_images(basis, mu)):
+            for exps, v in image.items():
+                rows.setdefault(exps, {})[j] = v
+        for exps, row in rows.items():
+            ech.insert(row, (i, exps))
+        if ech.rank == len(basis):
+            break
     return ech.rank
 
 
@@ -245,27 +289,20 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
 
     The default search starts with x in degree deg(theta) + deg(eta) and
     escalates the common product degree one step at a time, taking all
-    words of each degree; the lowest degree often carries only degenerate
-    nullspace vectors (one side zero), which are skipped.  Candidates come
-    from the exact nullspace of the two-variable grid system and are
-    re-verified in n_vars variables, by a sweep to the degree of theta*x,
+    words of each degree.  Pairs are solved in coordinates and
+    re-checked in n_vars variables, by a sweep to the degree of theta*x,
     before being returned; raises NotFoundError when the sets are
-    exhausted.
+    exhausted.  theta and eta must be nonzero in the algebra, not only
+    as words.
     """
     if not theta.terms or not eta.terms:
         raise DomainError("theta and eta must be nonzero")
     if not (theta.is_homogeneous() and eta.is_homogeneous()):
         raise DomainError("theta and eta must be homogeneous")
+    th, et = witt.element_coordinates([theta.terms, (-eta).terms])
+    if not th or not et:
+        raise DomainError("theta and eta must be nonzero in the algebra")
     p, q = theta.degree(), eta.degree()
-
-    def default_words(deg):
-        if deg == 0:
-            return [()]
-        words = words_of_degree(deg)
-        if len(words) > 64:
-            words = [w for w in words if len(w) <= 4]
-        return words
-
     if set_x is not None or set_y is not None:
         steps = [0]
     else:
@@ -274,11 +311,11 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
         if set_x is not None:
             wx = [tuple(w) for w in set_x]
         else:
-            wx = default_words(p + q + step)
+            wx = words_of_degree(p + q + step)
         if set_y is not None:
             wy = [tuple(w) for w in set_y]
         else:
-            wy = default_words(2 * p + step)
+            wy = words_of_degree(2 * p + step)
         if not wx or not wy:
             raise DomainError("word sets must be nonempty")
         dx = {sum(w) for w in wx}
@@ -287,25 +324,40 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
             raise DomainError("word sets must be single-degree")
         if p + dx.pop() != q + dy.pop():
             raise DomainError("word sets are not degree-compatible")
-        found = _ore_attempt(theta, eta, wx, wy, n_vars)
+        found = _ore_attempt(theta, eta, (th, et), wx, wy, n_vars)
         if found is not None:
             return found
     raise NotFoundError("no common multiple over the given word sets")
 
 
-def _ore_attempt(theta, eta, wx, wy, n_vars):
-    """One nullspace pass over fixed word sets; verified result or None."""
-    top = theta.degree() + max(sum(w) for w in wx)
-    elements = [(theta * OpElement.from_word(w)).terms for w in wx]
-    elements += [(eta * OpElement.from_word(w, -1)).terms for w in wy]
-    nx = len(wx)
-    for vec in _column_nullspace(_grid_vectors(elements, monomials_upto(GRID_VARS, top))):
-        x = OpElement({w: c for w, c in zip(wx, vec[:nx]) if c != 0})
-        y = OpElement({w: c for w, c in zip(wy, vec[nx:]) if c != 0})
-        if not x.terms or not y.terms:
+def _ore_attempt(theta, eta, coords, wx, wy, n_vars):
+    """One pass over fixed word sets; re-checked result or None.
+
+    coords holds the coordinates of theta and of -eta.  Each side keeps
+    only its words that are not combinations of earlier ones.  The
+    columns theta*x_i, then -eta*y_j, enter one echelon in order; the
+    x columns are independent, because the algebra is a domain.  The
+    first y column that is a combination of the columns before it gives
+    the pair: its combination must use an x column, since the y columns
+    are independent too, so x and y are both nonzero.  This is the first
+    vector, in RREF order, of the nullspace of all the columns of wx and
+    wy whose x is nonzero in coordinates.
+    """
+    th, et = coords
+    ech = linalg.SparseEchelon()
+    for w, c in _independent(wx):
+        ech.insert(witt.multiply(th, c), ("x", w))
+    for w, c in _independent(wy):
+        col = witt.multiply(et, c)
+        if ech.insert(col, ("y", w)):
             continue
-        if equal_by_evaluation(theta * x, eta * y, n_vars=n_vars):
-            return x, y
+        combo = ech.membership(col)
+        x = OpElement({v: -a for (side, v), a in combo.items() if side == "x"})
+        y = OpElement({v: -a for (side, v), a in combo.items() if side == "y"})
+        y = y + OpElement.from_word(w)
+        if not equal_by_evaluation(theta * x, eta * y, n_vars=n_vars):
+            raise VerificationError(f"common multiple fails evaluation: x = {format_op(x)}")
+        return x, y
     return None
 
 

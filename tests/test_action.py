@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jqforge import action
 from jqforge.errors import DomainError, UndefinedError
@@ -60,6 +62,26 @@ def test_cartan_formula_sweep():
         for i in range(k + 1):
             rhs = rhs + action.apply_jq(i, f) * action.apply_jq(k - i, g)
         assert lhs == rhs, f"Cartan failed at trial {trial}, k={k}"
+
+
+@st.composite
+def polynomial_pairs(draw):
+    arity = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 3), min_size=arity, max_size=arity).map(tuple)
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    f, g = (Polynomial(arity, draw(st.dictionaries(exps, coeff, max_size=3))) for _ in range(2))
+    return f, g
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(polynomial_pairs(), st.integers(0, 7))
+def test_cartan_rule_on_products(pair, k):
+    # Jq^k(f*g) = sum over i + j = k of Jq^i(f) * Jq^j(g)
+    f, g = pair
+    rhs = Polynomial.zero(f.arity)
+    for i in range(k + 1):
+        rhs = rhs + action.apply_jq(i, f) * action.apply_jq(k - i, g)
+    assert action.apply_jq(k, f * g) == rhs
 
 
 def test_linearity_and_graded_parts():

@@ -60,6 +60,21 @@ def test_format_parse_roundtrip_random():
         assert opalg.parse_op(opalg.format_op(e)) == e
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(st.integers(1, 12), max_size=4).map(tuple),
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        max_size=5,
+    )
+)
+def test_format_op_then_parse_op_is_the_identity(terms):
+    e = OpElement(terms)
+    text = opalg.format_op(e)
+    assert opalg.parse_op(text) == e
+    assert opalg.format_op(opalg.parse_op(text)) == text
+
+
 def test_coproduct_generators():
     c1 = opalg.coproduct(OpElement.jq(1))
     assert c1 == {((1,), ()): Fraction(1), ((), (1,)): Fraction(1)}

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jqforge.errors import DomainError, ParseError
 from jqforge.poly import Polynomial, format_poly, monomials_upto, parse_poly
@@ -97,6 +99,22 @@ def test_format_parse_roundtrip():
         assert parse_poly(format_poly(f), 3) == f
     assert format_poly(Polynomial.zero(2)) == "0"
     assert format_poly(parse_poly("x1^2 + x1", 1)) == "x1 + x1^2"
+
+
+@st.composite
+def polynomials(draw):
+    arity = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 12), min_size=arity, max_size=arity).map(tuple)
+    coeff = st.fractions(min_value=-100, max_value=100, max_denominator=64)
+    return Polynomial(arity, draw(st.dictionaries(exps, coeff, max_size=6)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(polynomials())
+def test_format_poly_then_parse_poly_is_the_identity(f):
+    text = format_poly(f)
+    assert parse_poly(text, f.arity) == f
+    assert format_poly(parse_poly(text, f.arity)) == text
 
 
 def test_format_graded_order():

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from jqforge import linalg, relations
 from jqforge.action import element_image
 from jqforge.errors import DomainError, IndecomposableError, NotFoundError
-from jqforge.opalg import OpElement, equal_by_evaluation, eval_element, parse_op
+from jqforge.opalg import OpElement, equal_by_evaluation, eval_element, format_op, parse_op
 from jqforge.poly import Polynomial, monomials_upto, parse_poly
 from jqforge.relations import (
     RelationBasis,
@@ -209,6 +211,11 @@ def test_ore_solve_errors():
         ore_solve(OpElement.jq(1) + OpElement.jq(2), OpElement.jq(1))
     with pytest.raises(NotFoundError):
         ore_solve(OpElement.jq(1), OpElement.jq(2), set_x=[(3,)], set_y=[(2,)])
+    # Jq3 minus its 1,2-word decomposition is zero in the algebra, though not as words
+    zero = OpElement.jq(3) - q12_decompose(3)
+    assert zero.terms
+    with pytest.raises(DomainError):
+        ore_solve(zero, OpElement.jq(1))
 
 
 def test_fraction_add_common_denominator():
@@ -279,6 +286,57 @@ def test_verification_sweeps_reach_the_degree_of_what_they_compare(monkeypatch):
     assert len(calls) >= 10 and any(top == 13 for top, _, _ in calls)
     for top, diff, bound in calls:
         assert bound is None or bound >= top >= diff
+
+
+
+# -- answers in coordinates, re-checked in the variables they report ---
+
+
+@pytest.mark.parametrize("k", [9, 10])
+@pytest.mark.parametrize("decompose", [q12_decompose, binary_decompose])
+def test_decompositions_past_degree_eight_hold_in_three_variables(decompose, k):
+    # two variables no longer tell the degree-9 words apart; the answers
+    # the two-variable grid gave here failed on x1*x2*x3
+    out = decompose(k)
+    assert relations.check_vars(k) == 3
+    assert equal_by_evaluation(OpElement.jq(k), out, n_vars=3, deg_bound=k)
+    if decompose is binary_decompose:
+        assert all(c.denominator % 2 for c in out.terms.values())
+
+
+def test_decompose_reports_the_variables_of_its_check(capsys):
+    from jqforge import cli
+
+    for k, n in ((7, 2), (8, 2), (9, 3)):
+        assert cli.main(["decompose", "--k", str(k), "--mode", "q12", "--json"]) == 0
+        assert f'"bounds":{{"nVars":{n}}}' in capsys.readouterr().out
+
+
+def test_ore_finds_the_degree_nine_multiple_of_jq2_and_jq3():
+    # accepted by the benchmark's own verifier, which shares no code with the package
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import check
+    finally:
+        sys.path.pop(0)
+    x, y = ore_solve(OpElement.jq(2), OpElement.jq(3))
+    assert x.degree() == 9 and y.degree() == 8
+    lhs = check.op_mul(check.parse_op("Jq2"), check.parse_op(format_op(x)))
+    for w, c in check.op_mul(check.parse_op("Jq3"), check.parse_op(format_op(y))).items():
+        check.add_term(lhs, w, -c)
+    monomials = check.monomials(2, 8) + [mu for mu in check.monomials(3, 4) if sum(mu)]
+    assert lhs and check.vanishes_on(lhs, monomials)
+
+
+def test_two_variables_tell_words_apart_through_degree_eight():
+    partition_numbers = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    for d in range(1, 9):
+        assert rank_estimate(d, n_vars=2) == partition_numbers[d]
+    assert rank_estimate(9, n_vars=2) == 29
+
+
+def test_three_variables_tell_words_apart_at_degree_ten():
+    assert rank_estimate(10, n_vars=3) == 42
 
 
 # -- the symbolic single-variable system, kept as the grids' oracle ----

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,7 +35,7 @@ def package(names):
 def test_importing_the_cli_loads_no_command_module():
     loaded = loaded_after("import jqforge.cli")
     assert "jqforge.cli" in loaded
-    command_modules = package(["opalg", "relations", "norms", "hit", "series", "golden"])
+    command_modules = package(["opalg", "relations", "witt", "norms", "hit", "series", "golden"])
     assert not loaded & (command_modules | {"dataclasses"})
 
 
@@ -42,7 +44,7 @@ def test_hit_skips_the_operator_algebra():
         "from jqforge import cli\ncli.main(['hit', '--poly', 'x1^5*x2^4*x3^3', '--vars', '3'])"
     )
     assert package(["hit", "linalg"]) <= loaded
-    skipped = package(["opalg", "relations", "norms", "series", "golden"]) | {"dataclasses"}
+    skipped = package(["opalg", "relations", "witt", "norms", "series", "golden"]) | {"dataclasses"}
     assert not loaded & skipped
 
 
@@ -50,6 +52,20 @@ def test_rank_loads_no_hit_norm_series_or_ledger_module():
     loaded = loaded_after("from jqforge import cli\ncli.main(['rank', '--d', '3'])")
     assert "jqforge.relations" in loaded
     assert not loaded & package(["hit", "norms", "series", "golden"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--k", "3", "--mode", "binary"],
+        ["ore", "--theta", "Jq1", "--eta", "Jq1"],
+        ["rank", "--d", "2"],
+        ["verify-paper"],
+    ],
+)
+def test_algebra_commands_load_the_coordinates(argv):
+    loaded = loaded_after(f"from jqforge import cli\ncli.main({argv!r})")
+    assert package(["relations", "witt"]) <= loaded
 
 
 def test_lazy_reexports_resolve():
