@@ -45,7 +45,11 @@ class ResolutionFailedError(NotFoundError):
 
 
 class NoSolutionError(NotFoundError):
-    """A linear problem is inconsistent; carries the index of the offending constraint."""
+    """A linear problem is inconsistent.
+
+    index is the first constraint that contradicts the constraints before
+    it: those before it have a solution, and with it they have none.
+    """
 
     def __init__(self, index, message=None):
         self.index = index

@@ -6,19 +6,16 @@ its denominators, a nonzero multiple of itself, so its zero pattern, and
 with it every pivot choice, is that of elimination over Fractions;
 Fractions are built only for what is returned.
 
-Over Q, dense: `_gauss_jordan` is the one Gauss-Jordan loop, behind
-`rref` (and so `nullspace` and `rank`) and `solve_affine`.  It
-eliminates by row <- p*row - a*pivot row, divides each new row by its
-content, and divides the pivot rows by their pivots only at the end,
-which gives the unique reduced echelon form.  It records where each row
-started, so an inconsistent system names the equation at fault by its
-input index.
+Rows are dicts keyed by orderable column ids, and each row carries its
+combination over the tags of the original rows.  `_scale_sub` is the
+one row operation, applied alike to rows and combinations.
 
-Over Q and Z_(2), sparse: rows are dicts keyed by orderable column ids,
-and each row carries its combination over the tags of the original rows.
-`_scale_sub` is the one row operation, applied alike to rows and
-combinations.  `SparseEchelon` is incremental and pivots on the least
-column.  `Z2Lattice` works in batch and pivots on the least (2-adic
+Over Q: `SparseEchelon`, incremental, pivoting on the least column.  It
+is the one rational core: `nullspace` of sparse columns, `solve_affine`
+of dense equations (one at a time, so an inconsistent system names the
+first equation that contradicts those before it), and span membership.
+
+Over Z_(2): `Z2Lattice` works in batch and pivots on the least (2-adic
 valuation, column) over the whole pool, so that every step is
 invertible over Z_(2) and the lattice is kept exactly.
 
@@ -33,134 +30,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalar2 import v2, v2_int
-
-
-def _int_row(vec):
-    """A list of ints and Fractions as coprime ints, a positive multiple of it."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
-# -- dense rational ---------------------------------------------------
-
-
-def _gauss_jordan(mat, ncols):
-    """Reduce the first ncols columns of a list of int rows, in place.
-
-    Returns (pivot columns, order), where order[i] is the original index
-    of the row that ends at position i.  Pivot rows end as Fractions,
-    divided by their pivots; the rows below them stay ints, zero in the
-    first ncols columns.
-    """
-    order = list(range(len(mat)))
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        order[r], order[pr] = order[pr], order[r]
-        prow = mat[r]
-        p = prow[c]
-        for i, row in enumerate(mat):
-            a = row[c]
-            if a and i != r:
-                g = gcd(p, a)
-                u, a = p // g, a // g
-                row = [u * x - a * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                mat[i] = row
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    for i, c in enumerate(pivots):
-        p = mat[i][c]
-        mat[i] = [Fraction(x, p) for x in mat[i]]
-    return pivots, order
-
-
-def _check_width(rows, ncols):
-    """ValueError unless every row has ncols entries."""
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError(f"row {i} has {len(row)} entries, not {ncols}")
-
-
-def rref(rows):
-    """Reduced row echelon form of rows of ints and Fractions, all of one length.
-
-    Returns (new rows, pivot column list); the new rows are Fractions.
-    """
-    if not rows:
-        return [], []
-    _check_width(rows, len(rows[0]))
-    mat = [_int_row(r) for r in rows]
-    pivots, _ = _gauss_jordan(mat, len(mat[0]))
-    return mat[: len(pivots)], pivots
-
-
-def nullspace(rows, ncols):
-    """Basis of {x : M x = 0} for M given by rows of ncols entries, one vector per free column."""
-    _check_width(rows, ncols)
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-    return basis
-
-
-def rank(rows):
-    """Rank of rows of ints and Fractions."""
-    red, pivots = rref(rows)
-    return len(pivots)
-
-
-def primitive_integer(vec):
-    """Scale a rational vector to coprime integers with positive first nonzero."""
-    ints = _int_row([Fraction(x) for x in vec])
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def solve_affine(rows, rhs):
-    """One solution of M x = rhs with free variables set to zero.
-
-    M (given by rows, all of one length) and rhs, one entry per row, hold
-    ints and Fractions.  Returns (solution list, None) or (None, index of
-    the first inconsistent equation) when the system has no solution.
-    """
-    if len(rhs) != len(rows):
-        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
-    if not rows:
-        return [], None
-    ncols = len(rows[0])
-    _check_width(rows, ncols)
-    aug = [_int_row(list(r) + [b]) for r, b in zip(rows, rhs)]
-    pivots, order = _gauss_jordan(aug, ncols)
-    for i in range(len(pivots), len(aug)):
-        if aug[i][ncols] != 0:
-            return None, order[i]
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][ncols]
-    return x, None
 
 
 # -- sparse rows: dicts keyed by column, over Q and Z_(2) --------------
@@ -275,6 +144,72 @@ class SparseEchelon:
     @property
     def rank(self):
         return len(self.rows)
+
+
+def nullspace(columns):
+    """Basis of the relations among sparse columns of ints and Fractions.
+
+    One vector per column that is a combination of the columns before
+    it, in column order: 1 at that column, minus the combination at the
+    independent columns, 0 elsewhere, all Fractions.  This is the basis
+    read off the reduced row echelon form, one vector per free column.
+    """
+    ech = SparseEchelon()
+    basis = []
+    for j, col in enumerate(columns):
+        if ech.insert(col, j):
+            continue
+        v = [Fraction(0)] * len(columns)
+        v[j] = Fraction(1)
+        for t, c in ech.membership(col).items():
+            v[t] = -c
+        basis.append(v)
+    return basis
+
+
+def primitive_integer(vec):
+    """Scale a rational vector to coprime integers with positive first nonzero."""
+    vec = [Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return [x // g for x in ints] if g else ints
+
+
+def solve_affine(rows, rhs):
+    """One solution of M x = rhs with free variables set to zero.
+
+    M (given by rows, all of one length) and rhs, one entry per row, hold
+    ints and Fractions.  Returns (solution list of Fractions, None), or
+    (None, i) when the system has no solution: equation i is the first
+    that contradicts the equations before it, so 0..i-1 have a solution
+    and 0..i have none.
+
+    The equations enter one `SparseEchelon` in order, the right-hand side
+    as the last column; one whose residual lies in that column alone
+    reads 0 = b.  Back-substitution with the free variables at zero then
+    gives the solution the reduced echelon form gives.
+    """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
+    if not rows:
+        return [], None
+    ncols = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, not {ncols}")
+    ech = SparseEchelon()
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        if ech.insert({**dict(enumerate(row)), ncols: b}, i) and ncols in ech.rows:
+            return None, i
+    x = [Fraction(0)] * ncols
+    for p in sorted(ech.rows, reverse=True):
+        row, _ = ech.rows[p]
+        acc = row.get(ncols, 0) - sum(a * x[c] for c, a in row.items() if p < c < ncols)
+        x[p] = Fraction(acc, row[p])
+    return x, None
 
 
 # -- 2-adic lattices --------------------------------------------------

@@ -124,13 +124,6 @@ def _grid_vectors(elements, mus):
     return [{key: v for key, v in vec.items() if v != 0} for vec in vecs]
 
 
-def _column_nullspace(cols):
-    """Exact nullspace of the matrix whose columns are the sparse vectors cols."""
-    keys = sorted({key for col in cols for key in col})
-    rows = [[col.get(key, 0) for col in cols] for key in keys]
-    return linalg.nullspace(rows, len(cols))
-
-
 def adem_nullspace(k: int, words=None) -> RelationBasis:
     """Exact nullspace of the single-variable system over a word set.
 
@@ -140,9 +133,12 @@ def adem_nullspace(k: int, words=None) -> RelationBasis:
     is zero.  The report keeps the method name "symbolicSingleVariable"
     and mDegree = k, the degree of P.
 
+    One vector per word that is a combination of the words before it, in
+    word order: 1 at that word, minus the combination at the independent
+    words, which is the nullspace basis of the reduced echelon form.
     Vectors are normalized to primitive integer form with a positive first
-    nonzero entry, in reduced echelon order, which makes the output
-    canonical for golden comparisons.
+    nonzero entry, which makes the output canonical for golden
+    comparisons.
     """
     if words is None:
         words = t_partition_words(k, 2)
@@ -152,7 +148,7 @@ def adem_nullspace(k: int, words=None) -> RelationBasis:
     for w in words:
         if sum(w) != k:
             raise DomainError(f"word {w} does not have degree {k}")
-    raw = _column_nullspace(_grid_vectors([{w: 1} for w in words], monomials_upto(1, k)))
+    raw = linalg.nullspace(_grid_vectors([{w: 1} for w in words], monomials_upto(1, k)))
     basis = [linalg.primitive_integer(v) for v in raw]
     return RelationBasis(
         degree=k,
@@ -166,9 +162,10 @@ def in_relation_span(basis: RelationBasis, vec) -> bool:
     """Whether vec (one entry per word) lies in the rational span of the basis vectors."""
     if len(vec) != len(basis.words):
         raise DomainError(f"vector has {len(vec)} entries for {len(basis.words)} words")
-    rows = [list(map(Fraction, b)) for b in basis.basis]
-    before = linalg.rank(rows)
-    return linalg.rank(rows + [list(map(Fraction, vec))]) == before
+    ech = linalg.SparseEchelon()
+    for i, b in enumerate(basis.basis):
+        ech.insert(dict(enumerate(b)), i)
+    return ech.membership({j: Fraction(c) for j, c in enumerate(vec)}) is not None
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,8 +337,8 @@ def _ore_attempt(theta, eta, coords, wx, wy, n_vars):
     first y column that is a combination of the columns before it gives
     the pair: its combination must use an x column, since the y columns
     are independent too, so x and y are both nonzero.  This is the first
-    vector, in RREF order, of the nullspace of all the columns of wx and
-    wy whose x is nonzero in coordinates.
+    vector of `linalg.nullspace` of all the columns of wx and wy whose x
+    is nonzero in coordinates.
     """
     th, et = coords
     ech = linalg.SparseEchelon()

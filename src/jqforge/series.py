@@ -369,8 +369,9 @@ def sode_solve(eq: Sode, xi0, a0, order: int) -> TruncatedSeries:
     """Series solution around xi0 with prescribed constant term.
 
     Coefficients come from solving the matching equations; free higher
-    coefficients are set to zero.  Raises NoSolutionError with the index
-    of the offending equation when the system is inconsistent, or when a
+    coefficients are set to zero.  Raises NoSolutionError when the system
+    is inconsistent, with the index m of the first equation (the one at
+    (x - xi0)^m) that contradicts the equations before it, or when a
     homogeneous equation admits only the zero series.
     """
     xi0 = Fraction(xi0)

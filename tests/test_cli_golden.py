@@ -71,6 +71,8 @@ BASE_CASES = [
     (["sode", "--op", "Jq1 - 1", "--rhs", "0", "--center", "1", "--a0", "1", "--order", "8"], None),
     (["sode", "--op", "Jq1 - 1", "--rhs", "0", "--center", "1", "--a0", "1"], None),
     (["sode", "--op", "Jq1 - 1", "--rhs", "x1", "--center", "0", "--a0", "1"], None),
+    # equation 0 reads 0 = 1: the first equation that contradicts those before it
+    (["sode", "--op", "Jq2", "--rhs", "x1^2 + 1", "--center", "0", "--a0", "1", "--order", "7"], None),
     (["geom", "--k", "1", "--poly", "x1", "--order", "6"], None),
     (["geom", "--k", "2", "--poly", "x1^2 + 1/3*x1"], None),
     (["tate", "--series", "-"], PASS_SERIES),

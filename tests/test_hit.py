@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jqforge.action import apply_jq
 from jqforge.errors import DomainError
@@ -183,3 +185,26 @@ def test_certificate_reconstruct_type():
     cert = HitCertificate([(2, power(2, 3))])
     assert cert.reconstruct(1) == apply_jq(2, power(2, 3))
     assert cert.witness_json() == [{"k": 2, "cofactor": "3*x1^2"}]
+
+
+@st.composite
+def images(draw):
+    """A nonzero sum of Jq^i(x^mu) with 2-adic integer coefficients, homogeneous of degree d."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, (9, 7, 5)[n - 1]))
+    coeff = st.sampled_from([1, -1, 2, 3, -4, F(1, 3), F(-6, 5)])
+    f = Polynomial.zero(n)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(1, d - 1))
+        mu = draw(st.sampled_from([m for m in monomials_upto(n, d - i) if sum(m) == d - i]))
+        f = f + apply_jq(i, Polynomial(n, {mu: F(draw(coeff))}))
+    assume(f.terms)
+    return f
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(images())
+def test_certificates_rebuild_random_images(f):
+    ok, cert = hit_decide_graded(f)
+    assert ok
+    assert cert.reconstruct(f.arity) == f

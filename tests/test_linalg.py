@@ -1,4 +1,4 @@
-"""The exact elimination core: dense Gauss-Jordan, sparse echelons over Q and Z_(2), F_2."""
+"""The exact elimination cores: the sparse echelon over Q (nullspace, affine solve), Z_(2) lattices, F_2."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -33,24 +33,18 @@ def _mul(rows, v):
     return [sum(a * x for a, x in zip(r, v)) for r in rows]
 
 
+def _columns(rows, ncols):
+    """The columns of a dense matrix as sparse dicts keyed by row index."""
+    return [{i: r[j] for i, r in enumerate(rows) if r[j] != 0} for j in range(ncols)]
+
+
 @PROPERTY
 @given(matrices())
 def test_nullspace_vectors_are_killed_and_count_the_free_columns(m):
     rows, ncols = m
-    basis = linalg.nullspace(rows, ncols)
+    basis = linalg.nullspace(_columns(rows, ncols))
     assert all(_mul(rows, v) == [0] * len(rows) for v in basis)
-    assert len(basis) == ncols - linalg.rank(rows)
-
-
-@PROPERTY
-@given(matrices())
-def test_rref_is_reduced(m):
-    rows, ncols = m
-    red, pivots = linalg.rref(rows)
-    assert len(red) == len(pivots) and pivots == sorted(set(pivots))
-    for i, (row, c) in enumerate(zip(red, pivots)):
-        assert row[c] == 1
-        assert all(other[c] == 0 for j, other in enumerate(red) if j != i)
+    assert len(basis) == ncols - _fraction_rank(rows)
 
 
 @PROPERTY
@@ -59,7 +53,7 @@ def test_solve_affine_solves_exactly_the_consistent_systems(m, b):
     rows, ncols = m
     rhs = list(map(Fraction, b[: len(rows)] + [0] * (len(rows) - len(b))))
     sol, bad = linalg.solve_affine(rows, rhs)
-    consistent = linalg.rank([r + [c] for r, c in zip(rows, rhs)]) == linalg.rank(rows)
+    consistent = _fraction_rank([r + [c] for r, c in zip(rows, rhs)]) == _fraction_rank(rows)
     assert (sol is not None) == consistent
     if sol is None:
         assert 0 <= bad < len(rows)
@@ -71,14 +65,12 @@ def test_ragged_input_is_refused():
     # rows of unequal length, or a right-hand side of the wrong length, used to be truncated
     ragged = [[1, 0], [0, 1, 1]]
     for call in (
-        lambda: linalg.rref(ragged),
-        lambda: linalg.rank(ragged),
-        lambda: linalg.nullspace(ragged, 2),
-        lambda: linalg.nullspace([[1, 0]], 3),
         lambda: linalg.solve_affine(ragged, [1, 1]),
         lambda: linalg.solve_affine([[1, 0], [0, 1]], [1]),
         lambda: linalg.solve_affine([[1, 0]], [1, 2]),
         lambda: linalg.solve_affine([], [1]),
+        # a ragged row after the first inconsistent equation is refused too
+        lambda: linalg.solve_affine([[0, 0], [1, 0, 1]], [1, 0]),
     ):
         with pytest.raises(ValueError):
             call()
@@ -306,8 +298,11 @@ def test_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
 
 
 def _fraction_gauss_jordan(mat, ncols):
-    """The Fraction Gauss-Jordan that `linalg._gauss_jordan` replaced, kept as its oracle."""
-    order = list(range(len(mat)))
+    """Reduce the first ncols columns of Fraction rows in place; returns the pivot columns.
+
+    The Fraction Gauss-Jordan that the dense integer core replaced, kept
+    as the oracle of `nullspace` and `solve_affine`.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
@@ -315,7 +310,6 @@ def _fraction_gauss_jordan(mat, ncols):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        order[r], order[pr] = order[pr], order[r]
         inv = 1 / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
@@ -326,30 +320,44 @@ def _fraction_gauss_jordan(mat, ncols):
         r += 1
         if r == len(mat):
             break
-    return pivots, order
+    return pivots
 
 
-def _fraction_rref(rows):
+def _fraction_rref(rows, ncols):
     mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    pivots, _ = _fraction_gauss_jordan(mat, len(mat[0]))
+    pivots = _fraction_gauss_jordan(mat, ncols)
     return mat[: len(pivots)], pivots
 
 
+def _fraction_rank(rows):
+    return len(_fraction_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _fraction_nullspace(rows, ncols):
+    """One vector per free column of the reduced echelon form."""
+    red, pivots = _fraction_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][free]
+            basis.append(v)
+    return basis
+
+
 def _fraction_solve_affine(rows, rhs):
-    if not rows:
-        return [], None
+    """The solution with free variables at zero, or None."""
     ncols = len(rows[0])
     aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots, order = _fraction_gauss_jordan(aug, ncols)
-    for i in range(len(pivots), len(aug)):
-        if aug[i][ncols] != 0:
-            return None, order[i]
+    pivots = _fraction_gauss_jordan(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
     for row_idx, c in enumerate(pivots):
         x[c] = aug[row_idx][ncols]
-    return x, None
+    return x
 
 
 class _FractionSparseEchelon:
@@ -415,29 +423,32 @@ def oracle_matrices(draw, max_rows=6, max_cols=6):
 
 @PROPERTY
 @given(oracle_matrices(), st.lists(oracle_entries, min_size=10, max_size=10))
-def test_dense_elimination_matches_the_fraction_gauss_jordan(m, b):
+def test_nullspace_and_solve_affine_match_the_fraction_gauss_jordan(m, b):
     rows, ncols = m
-    red, pivots = linalg.rref(rows)
-    want_red, want_pivots = _fraction_rref(rows)
-    assert pivots == want_pivots and linalg.rank(rows) == len(want_pivots)
-    assert [_typed(r) for r in red] == [_typed(r) for r in want_red]
-    basis = linalg.nullspace(rows, ncols)
-    want_basis = []
-    for free in range(ncols):
-        if free not in want_pivots:
-            v = [Fraction(0)] * ncols
-            v[free] = Fraction(1)
-            for r, pc in enumerate(want_pivots):
-                v[pc] = -want_red[r][free]
-            want_basis.append(v)
-    assert [_typed(v) for v in basis] == [_typed(v) for v in want_basis]
-    rhs = b[: len(rows)] + [0] * (len(rows) - len(b))
-    sol, bad = linalg.solve_affine(rows, rhs)
-    want_sol, want_bad = _fraction_solve_affine(rows, rhs)
-    assert bad == want_bad
-    assert (sol is None) == (want_sol is None)
-    if sol is not None:
-        assert _typed(sol) == _typed(want_sol)
+    basis = linalg.nullspace(_columns(rows, ncols))
+    assert [_typed(v) for v in basis] == [_typed(v) for v in _fraction_nullspace(rows, ncols)]
+    # a drawn right-hand side, mostly inconsistent, and one that is always consistent
+    for rhs in (b[: len(rows)] + [0] * (len(rows) - len(b)), _mul(rows, b[:ncols])):
+        sol, bad = linalg.solve_affine(rows, rhs)
+        want = _fraction_solve_affine(rows, rhs)
+        assert (sol is None) == (want is None)
+        if sol is not None:
+            assert bad is None and _typed(sol) == _typed(want)
+            continue
+        # equations 0..bad-1 are consistent, and equation bad contradicts them
+        aug = [list(r) + [c] for r, c in zip(rows, rhs)]
+        assert _fraction_rank(aug[:bad]) == _fraction_rank(rows[:bad])
+        assert _fraction_rank(aug[: bad + 1]) > _fraction_rank(rows[: bad + 1])
+
+
+def test_nullspace_takes_columns_with_any_orderable_keys():
+    # adem_nullspace passes grid columns keyed (monomial index, exponents)
+    cols = [{(0, (1,)): 1, (1, (2,)): 2}, {(1, (2,)): 4}, {(0, (1,)): 3, (1, (2,)): 6}, {}]
+    assert linalg.nullspace(cols) == [
+        [Fraction(-3), Fraction(0), Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
+    ]
+    assert linalg.nullspace([]) == []
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jqforge import action, opalg, relations
+from jqforge import action, linalg, opalg, relations
 from jqforge.errors import DomainError, NotInZ2Error, ParseError
 from jqforge.opalg import OpElement
 from jqforge.poly import Polynomial, monomials_upto, parse_poly
@@ -232,6 +232,23 @@ def test_chi_by_recursion_equals_chi_by_partitions(k):
         assert not total.terms
 
 
+# short words over few letters, so that products of different pairs of
+# words coincide and their coefficients add before the reduction
+z2_elements = st.dictionaries(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    st.sampled_from([1, -1, 2, 3, 4, Fraction(1, 3), Fraction(-5, 3), Fraction(2, 5)]),
+    min_size=1,
+    max_size=4,
+).map(OpElement)
+
+
+@PROPERTY
+@given(z2_elements, z2_elements)
+def test_phi_reduce_is_multiplicative_on_sums(a, b):
+    lhs = opalg.phi_reduce(a * b)
+    assert lhs == opalg.classical_mul(opalg.phi_reduce(a), opalg.phi_reduce(b))
+
+
 @functools.lru_cache(maxsize=None)
 def _near_relations(d, n_vars):
     """Basis of the degree-d word combinations that kill every monomial of degree < d.
@@ -241,7 +258,7 @@ def _near_relations(d, n_vars):
     """
     words = relations.words_of_degree(d)
     cols = relations._grid_vectors([{w: 1} for w in words], monomials_upto(n_vars, d - 1))
-    return words, relations._column_nullspace(cols)
+    return words, linalg.nullspace(cols)
 
 
 @st.composite

@@ -151,6 +151,21 @@ def test_no_solution_at_the_origin():
         assert exc.value.index == 0
 
 
+def test_no_solution_names_the_first_contradicting_equation():
+    # Jq2 kills 1 and x1, so at the origin equation 0 already reads 0 = 1
+    eq = Sode(OpElement.jq(2), parse_poly("x1^2 + 1", 1))
+    with pytest.raises(NoSolutionError) as exc:
+        sode_solve(eq, 0, 1, 7)
+    assert exc.value.index == 0
+    rows, rhs = _coefficient_equations(eq, 0, 7)
+    assert not any(rows[0]) and rhs[0] == 1
+    # here equation 0 reads 0 = 0 and equation 1 reads 0 = -1
+    eq = Sode(OpElement.jq(2), parse_poly("x1^3 - x1", 1))
+    with pytest.raises(NoSolutionError) as exc:
+        sode_solve(eq, 0, 1, 7)
+    assert exc.value.index == 1
+
+
 def test_log_series_solves_jq1_equals_xi():
     eq = Sode(OpElement.jq(1), xi)
     sol = sode_solve(eq, 1, 0, 12)
