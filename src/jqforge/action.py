@@ -26,6 +26,9 @@ kernel:
 
 Words act by composition with the rightmost entry applied first, matching
 the concatenation product of the operator algebra.
+
+This module imports nothing above `poly`.  The inverses of 1 - Jq^k and of
+the total operation are infinite series, so they live in `series`.
 """
 
 from __future__ import annotations
@@ -174,29 +177,3 @@ def apply_jq_neg(k: int, m: int) -> Fraction:
     if c == 0:
         raise UndefinedError(f"closed form undefined for k={k}, m={m}")
     return Fraction(1, c)
-
-
-def apply_conj_total(f: Polynomial, order: int):
-    """Solve for h with (total operation)(h) = f, truncated at the given degree.
-
-    The degree-d part of the equation reads h_d = f_d - sum over k >= 1 of
-    the k-piece applied to h_(d-k), which determines h degree by degree.
-    Returns a truncated series since the inverse is generally infinite.
-    """
-    from .series import TruncatedSeries
-
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    parts = {}
-    for d in range(order + 1):
-        acc = f.graded_part(d)
-        for k in range(1, d + 1):
-            prev = parts.get(d - k)
-            if prev is not None and prev:
-                acc = acc - apply_jq(k, prev).graded_part(d)
-        if acc:
-            parts[d] = acc
-    terms = {}
-    for part in parts.values():
-        terms.update(part.terms)
-    return TruncatedSeries(arity=f.arity, order=order, terms=terms, center=None)

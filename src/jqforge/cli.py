@@ -63,6 +63,10 @@ _CONFIG = (
     ),
 )
 
+# shared-flag help that reads differently for one command
+_HELP = {("hit", "maxJ"): "largest operator index Jq^k tried (reported under bounds "
+         "when below half the degree)"}
+
 _EXIT_CODES = {ParseError: 2, NotFoundError: 4, DomainError: 3, VerificationError: 5}
 
 
@@ -209,10 +213,15 @@ def _cmd_norm(args):
 def _cmd_hit(args):
     from . import hit as hit_mod
     f = parse_poly(args.poly, args.vars)
-    is_hit, cert = hit_mod.hit_decide_graded(f, precision_j=args.config["maxJ"])
+    max_j = args.config["maxJ"]
+    is_hit, cert = hit_mod.hit_decide_graded(f, precision_j=max_j)
     payload = {"hit": is_hit}
     if cert is not None:
         payload["witness"] = cert.witness_json()
+    # Jq^k kills every monomial of degree below k, so in degree d only k <= d // 2
+    # has columns: a smaller cap can turn the answer and is reported
+    if max_j < f.degree() // 2:
+        payload["bounds"] = {"maxJ": max_j}
     return payload
 
 
@@ -419,11 +428,12 @@ def build_parser():
     p.set_defaults(func=_cmd_verify_paper, text=_text_verify_paper)
 
     # the shared flags come last in every subcommand's usage line
-    for p in sp.choices.values():
+    for name, p in sp.choices.items():
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         for key in _CONFIG:
             flag = "--" + key.dest.replace("_", "-")
-            p.add_argument(flag, type=key.parse, default=None, help=key.help)
+            help_text = _HELP.get((name, key.name), key.help)
+            p.add_argument(flag, type=key.parse, default=None, help=help_text)
     return parser
 
 

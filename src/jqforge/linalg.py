@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalar2 import v2, v2_int
+from .scalar2 import scale_to_ints, v2, v2_int
 
 
 # -- sparse rows: dicts keyed by column, over Q and Z_(2) --------------
@@ -47,16 +47,6 @@ def _sub(row, lam, other):
 
 def _nonzero(row):
     return {k: Fraction(v) for k, v in row.items() if v != 0}
-
-
-def _scaled(row):
-    """A dict row of ints and Fractions as ints, times the lcm of its denominators.
-
-    Returns (int row without zeros, that lcm).
-    """
-    row = {k: v for k, v in row.items() if v != 0}
-    den = lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in row.items()}, den
 
 
 def _scale_sub(row, combo, u, a, brow, bcombo):
@@ -114,7 +104,7 @@ class SparseEchelon:
         residual = sum of combination[t] * (the row tagged t) over tag and
         the inserted tags.
         """
-        row, s = _scaled(row)
+        row, s = scale_to_ints(row)
         combo = {tag: s}
         while row:
             p = min(row)
@@ -246,7 +236,7 @@ class Z2Lattice:
     """
 
     def __init__(self, generators):
-        rows = [(tag, *_scaled(row)) for tag, row in generators]
+        rows = [(tag, *scale_to_ints(row)) for tag, row in generators]
         if len({tag for tag, _, _ in rows}) != len(rows):
             raise ValueError("Z2Lattice generator tags must be distinct")
         rows = [(tag, row, den) for tag, row, den in rows if row]

@@ -15,14 +15,13 @@ cross-check oracle, and equality decided by exact evaluation sweeps.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from fractions import Fraction
 
 from .action import apply_element, element_image
 from .errors import DomainError, NotInZ2Error, ParseError
 from .poly import Polynomial, monomials_upto, split_signed_terms
-from .scalar2 import binom, format_scalar, in_z2, mod2_reduce, parse_scalar
+from .scalar2 import binom, format_scalar, in_z2, mod2_reduce, parse_scalar, scale_to_ints
 
 _WORD_RE = re.compile(r"^Jq(\d+)$")
 
@@ -406,8 +405,7 @@ def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None)
         n_vars = max(d, 2)
     if deg_bound is None:
         deg_bound = d
-    scale = math.lcm(*(c.denominator for c in diff.terms.values()))
-    terms = {w: int(c * scale) for w, c in diff.terms.items()}
+    terms, _ = scale_to_ints(diff.terms)
     for exps in monomials_upto(n_vars, deg_bound):
         if element_image(terms, exps):
             return False

@@ -9,16 +9,18 @@ Two kinds of columns feed the eliminations.
   (`Z2Lattice` membership), the Ore search (the first dependent column
   of one `SparseEchelon`) and the choice of independent words in
   `rank_estimate` solve on them.
-- Grid rows, from one builder, `_grid_vectors`.  It acts with each
-  element {word: coeff} on every monomial of a grid
-  {m in N^n : |m| <= d} through the evaluation kernel, and keys the
-  coefficient of x^exps in the image of the i-th grid monomial by
-  (i, exps).  For a combination of words of degree at most d the grid
-  is the exact system in n variables, not a sample (the proof is in
-  `opalg.equal_by_evaluation`).  `adem_nullspace` and
-  `norms.adem_valuation` solve on the one-variable grid, so their
-  relations hold on every power of one variable, and need not hold in
-  more; `rank_estimate` counts its rank in n variables on it.
+- Grid rows.  Each element {word: coeff} acts on every monomial of a
+  grid {m in N^n : |m| <= d} through the evaluation kernel, and the
+  coefficient of x^exps in the image of the i-th grid monomial is keyed
+  by (i, exps).  For a combination of words of degree at most d the
+  grid is the exact system in n variables, not a sample (the proof is
+  in `opalg.equal_by_evaluation`).  `_grid_vectors` builds the rows for
+  `adem_nullspace` and `norms.adem_valuation`, which solve on the
+  one-variable grid, so their relations hold on every power of one
+  variable, and need not hold in more.  `rank_estimate` builds the same
+  rows itself, one grid monomial at a time, so that it can stop once
+  the rank reaches the number of words; it counts its rank in n
+  variables.
 
 Every answer found in coordinates is re-checked through the kernel,
 an independent path, by `equal_by_evaluation` to the degree of what it

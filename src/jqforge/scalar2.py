@@ -101,6 +101,17 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def scale_to_ints(coeffs: dict) -> tuple:
+    """A dict of ints and Fractions as ints, times the lcm of its denominators.
+
+    Returns (int dict without zeros, that lcm).  The lcm is a positive
+    multiplier, so the zero pattern and the signs are those of coeffs.
+    """
+    coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    den = math.lcm(*(v.denominator for v in coeffs.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}, den
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with q positive."""
     m = _RAT_RE.match(text.strip())

@@ -1,10 +1,12 @@
 """Truncated power series over 2-adic rationals.
 
 Covers the completion-side tooling: re-centered series, operator
-application, geometric inverses of 1 - Jq^k, a Tate-membership check on
-valuation profiles, and the ODE-style solver that matches coefficients
-of operator equations around a chosen center.  Solutions are verified by
-an independent residual pass before being returned.
+application, the inverses of 1 - Jq^k and of the total operation, a
+Tate-membership check on valuation profiles, and the ODE-style solver
+that matches coefficients of operator equations around a chosen center.
+Both inverses come from one degree-by-degree solver.  Every solution is
+verified by an independent residual pass before being returned, with a
+check that raises VerificationError and so still runs under python -O.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import apply_jq
+from .action import apply_element, apply_jq
 from .errors import (
     DomainError,
     NoSolutionError,
@@ -32,7 +34,10 @@ class TruncatedSeries:
 
     Uncentered series store monomial terms in any arity; a centered
     series has one variable and stores coefficients of (x - center)^n.
-    Terms beyond the order are dropped on construction.
+    Terms are cleaned as a Polynomial's are (nonnegative exponents, zeros
+    dropped) and those beyond the order are dropped; sums and products
+    are Polynomial arithmetic on the stored terms, truncated at the lower
+    order.
     """
 
     __slots__ = ("arity", "order", "center", "terms")
@@ -46,14 +51,7 @@ class TruncatedSeries:
             center = Fraction(center)
             if arity != 1:
                 raise DomainError("centered series require one variable")
-        clean = {}
-        for exps, c in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != arity:
-                raise DomainError("exponent tuple does not match arity")
-            c = Fraction(c)
-            if c and sum(exps) <= order:
-                clean[exps] = c
+        clean = {e: c for e, c in Polynomial(arity, terms).terms.items() if sum(e) <= order}
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "center", center)
@@ -79,43 +77,27 @@ class TruncatedSeries:
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def _compatible(self, other):
+    def _combine(self, other, op):
+        """op on the stored terms as polynomials, truncated at the lower order."""
         if self.arity != other.arity or self.center != other.center:
             raise DomainError("series mismatch in arity or center")
+        p = op(Polynomial(self.arity, self.terms), Polynomial(other.arity, other.terms))
+        return TruncatedSeries(self.arity, min(self.order, other.order), p.terms, self.center)
 
     def __add__(self, other):
-        self._compatible(other)
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return TruncatedSeries(self.arity, order, terms, self.center)
-
-    def __neg__(self):
-        return TruncatedSeries(
-            self.arity, self.order, {e: -c for e, c in self.terms.items()}, self.center
-        )
+        return self._combine(other, Polynomial.__add__)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, Polynomial.__sub__)
+
+    def __neg__(self):
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(
-                self.arity,
-                self.order,
-                {e: c * other for e, c in self.terms.items()},
-                self.center,
-            )
-        self._compatible(other)
-        order = min(self.order, other.order)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) <= order:
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return TruncatedSeries(self.arity, order, terms, self.center)
+            terms = (Polynomial(self.arity, self.terms) * other).terms
+            return TruncatedSeries(self.arity, self.order, terms, self.center)
+        return self._combine(other, Polynomial.__mul__)
 
     __rmul__ = __mul__
 
@@ -229,7 +211,7 @@ class TateReport(namedtuple("TateReport", "verdict profile window")):
         return {
             "verdict": self.verdict,
             "window": list(self.window),
-            "profile": [[d, "inf" if v is None else v] for d, v in self.profile],
+            "profile": [list(p) for p in self.profile],
         }
 
 
@@ -266,11 +248,36 @@ def tate_check(s: TruncatedSeries) -> TateReport:
     return TateReport(verdict, profile, window)
 
 
-def geometric_inverse(k: int, f: Polynomial, order: int) -> TruncatedSeries:
-    """Sum of all iterates of Jq^k on f, the inverse of 1 - Jq^k.
+def _solve_by_degree(f: Polynomial, coeffs: dict, order: int, what: str) -> TruncatedSeries:
+    """The h with h = f + sum_k c_k Jq^k(h) through degree order, verified.
 
-    Verified before returning: applying 1 - Jq^k to the sum recovers f
-    through degree order - k.
+    Jq^k raises degree by exactly k, so the degree-d part of the equation
+    reads h_d = f_d + sum_k c_k Jq^k(h_(d-k)) and fixes h one degree at a
+    time.  Before returning, h - sum_k c_k Jq^k(h) - f, built through the
+    kernel in one pass, must have no term of degree <= order; otherwise
+    VerificationError names what was being solved.
+    """
+    parts = {}
+    for d in range(order + 1):
+        acc = f.graded_part(d)
+        for k, c in coeffs.items():
+            prev = parts.get(d - k)
+            if prev:
+                acc = acc + c * apply_jq(k, prev)
+        if acc:
+            parts[d] = acc
+    h = Polynomial(f.arity, {e: c for part in parts.values() for e, c in part.terms.items()})
+    residual = h - apply_element({(k,): c for k, c in coeffs.items()}, h) - f
+    if any(sum(e) <= order for e in residual.terms):
+        raise VerificationError(f"{what} fails its residual check")
+    return TruncatedSeries(f.arity, order, h.terms)
+
+
+def geometric_inverse(k: int, f: Polynomial, order: int) -> TruncatedSeries:
+    """Sum of all iterates of Jq^k on f, the inverse of 1 - Jq^k, through degree order.
+
+    The h with h = f + Jq^k(h); applying 1 - Jq^k to it recovers f through
+    degree order, which is checked before returning.
     """
     if k < 1:
         raise DomainError("operator index must be positive")
@@ -278,19 +285,20 @@ def geometric_inverse(k: int, f: Polynomial, order: int) -> TruncatedSeries:
         raise DomainError("geometric inverse expects one variable")
     if f.terms and f.degree() > order:
         raise DomainError("truncation order below the input degree")
-    total = {}
-    cur = f
-    while cur.terms:
-        for e, c in cur.terms.items():
-            total[e] = total.get(e, Fraction(0)) + c
-        nxt = apply_jq(k, cur)
-        cur = Polynomial(1, {e: c for e, c in nxt.terms.items() if e[0] <= order})
-    out = TruncatedSeries(1, order, total)
-    back = Polynomial(1, out.terms)
-    residual = back - apply_jq(k, back) - f
-    if not all(e[0] > order - k for e in residual.terms):
-        raise VerificationError(f"geometric inverse of Jq{k} fails its residual check")
-    return out
+    return _solve_by_degree(f, {k: 1}, order, f"geometric inverse of Jq{k}")
+
+
+def apply_conj_total(f: Polynomial, order: int) -> TruncatedSeries:
+    """Solve for h with (total operation)(h) = f, truncated at the given degree.
+
+    The total operation is 1 + sum over k >= 1 of Jq^k, so h = f - sum_k
+    Jq^k(h), and only k <= order reaches degree order.  Returns a
+    truncated series since the inverse is generally infinite.
+    """
+    if order < 0:
+        raise DomainError("order must be nonnegative")
+    coeffs = {k: -1 for k in range(1, order + 1)}
+    return _solve_by_degree(f, coeffs, order, "inverse of the total operation")
 
 
 # -- operator equations ------------------------------------------------

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .scalar2 import binom
+from .scalar2 import binom, scale_to_ints
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,19 +84,13 @@ def _mul_basis(u: tuple, v: tuple) -> tuple:
     return tuple((t, c) for t, c in out.items() if c != 0)
 
 
-def _integral(vec):
-    """A coordinate vector as (int dict, den), den the lcm of its denominators."""
-    den = math.lcm(*(x.denominator for x in vec.values()))
-    return {t: x.numerator * (den // x.denominator) for t, x in vec.items()}, den
-
-
 def multiply(a: dict, b: dict) -> dict:
     """Product of two coordinate vectors, zero terms dropped.
 
     Both are scaled to ints first, so Fractions are built only for the
     result.
     """
-    (a, da), (b, db) = _integral(a), _integral(b)
+    (a, da), (b, db) = scale_to_ints(a), scale_to_ints(b)
     out = {}
     for u, x in a.items():
         for v, y in b.items():

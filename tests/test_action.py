@@ -162,19 +162,3 @@ def test_apply_jq_neg_round_trip():
             assert back == Polynomial(1, {(m,): 1})
     with pytest.raises(DomainError):
         action.apply_jq_neg(0, 3)
-
-
-def test_apply_conj_total_inverts_total():
-    rng = random.Random(37)
-    for _ in range(10):
-        f = rand_poly(rng, 2, 3)
-        ser = action.apply_conj_total(f, 6)
-        h = Polynomial(2, ser.terms)
-        assert action.apply_total(h, max_deg=6) == Polynomial(
-            2, {e: c for e, c in f.terms.items() if sum(e) <= 6}
-        )
-
-
-def test_apply_conj_total_on_variable():
-    ser = action.apply_conj_total(parse_poly("x1", 1), 3)
-    assert ser.terms == {(1,): Fraction(1), (2,): Fraction(-1), (3,): Fraction(2)}

@@ -60,6 +60,9 @@ BASE_CASES = [
     (["hit", "--poly", "3*x1^7", "--vars", "1"], None),
     (["hit", "--poly", "4*x1^7", "--vars", "1"], None),
     (["hit", "--poly", "x1^2*x2 + x1*x2^2", "--vars", "2"], None),
+    # x1^23 = Jq8((1/6435)*x1^15): the default cap of 6 misses it and says so
+    (["hit", "--poly", "x1^23"], None),
+    (["hit", "--poly", "x1^23", "--max-j", "22"], None),
     (["cohit", "--d", "7"], None),
     (["cohit", "--d", "1"], None),
     (["ore", "--theta", "Jq1", "--eta", "Jq2"], None),

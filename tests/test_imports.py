@@ -12,7 +12,8 @@ through `word_images`, `element_image` or `apply_element`, so that there
 is one path from words to polynomials.  A top-level `def _name` or
 `class _Name` must be referenced, as a name or an attribute, outside its
 own body in some module of the package; one that only tests reach is
-dead code.
+dead code.  The modules sit in layers, and a module imports only from the
+layers below its own, lazy imports inside functions included.
 """
 
 import ast
@@ -139,3 +140,58 @@ def test_the_check_sees_an_unreferenced_private_definition():
     assert unreferenced_private_definitions({"relations": relations, "cli": cli}) == [
         ("relations", "_pair_monomials")
     ]
+
+
+# lowest first; a module may import only from the layers before its own
+LAYERS = [
+    {"errors"},
+    {"scalar2"},
+    {"poly"},
+    {"action"},
+    {"opalg", "linalg", "witt"},
+    {"relations"},
+    {"norms", "hit", "series"},
+    {"golden"},
+    {"cli"},
+]
+
+
+def package_imports(source):
+    """Package modules a source imports, at module level or inside a function."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module)
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def layering_violations(sources):
+    """(module, imported module) for each import of the module's own layer or one above."""
+    level = {mod: i for i, layer in enumerate(LAYERS) for mod in layer}
+    return sorted(
+        (mod, dep)
+        for mod, src in sources.items()
+        for dep in package_imports(src)
+        if level[dep] >= level[mod]
+    )
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in MODULES} == set().union(*LAYERS)
+
+
+def test_modules_import_only_lower_layers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert layering_violations(sources) == []
+
+
+def test_the_check_sees_an_upward_import():
+    sources = {
+        "action": "from .poly import Polynomial\ndef f():\n    from .series import g\n",
+        "witt": "from . import linalg, scalar2\n",
+        "hit": "from . import linalg\ndef f():\n    from .relations import words_of_degree\n",
+    }
+    assert layering_violations(sources) == [("action", "series"), ("witt", "linalg")]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jqforge import action
 from jqforge.action import apply_jq
 from jqforge.errors import (
     DomainError,
@@ -18,12 +19,14 @@ from jqforge.series import (
     Sode,
     TruncatedSeries,
     _coefficient_equations,
+    apply_conj_total,
     geometric_inverse,
     series_apply_op,
     sode_residual,
     sode_solve,
     tate_check,
 )
+from test_action import rand_poly
 
 
 F = Fraction
@@ -44,6 +47,8 @@ def test_construction_truncates_and_drops_zeros():
         TruncatedSeries(2, 4, {}, center=1)
     with pytest.raises(DomainError):
         TruncatedSeries(1, 4, {(1, 0): F(1)})
+    with pytest.raises(DomainError):
+        TruncatedSeries(1, 4, {(-1,): F(1)})
 
 
 def test_json_round_trip():
@@ -230,7 +235,7 @@ def test_geometric_inverse_postcondition():
                 out = geometric_inverse(k, f, order)
                 back = Polynomial(1, out.terms)
                 diff = back - apply_jq(k, back) - f
-                assert all(e[0] > order - k for e in diff.terms)
+                assert all(e[0] > order for e in diff.terms)
 
 
 def test_geometric_inverse_validation():
@@ -240,6 +245,22 @@ def test_geometric_inverse_validation():
         geometric_inverse(1, parse_poly("x1*x2", 2), 8)
     with pytest.raises(DomainError):
         geometric_inverse(1, parse_poly("x1^9", 1), 8)
+
+
+def test_apply_conj_total_inverts_total():
+    rng = random.Random(37)
+    for _ in range(10):
+        f = rand_poly(rng, 2, 3)
+        ser = apply_conj_total(f, 6)
+        h = Polynomial(2, ser.terms)
+        assert action.apply_total(h, max_deg=6) == Polynomial(
+            2, {e: c for e, c in f.terms.items() if sum(e) <= 6}
+        )
+
+
+def test_apply_conj_total_on_variable():
+    ser = apply_conj_total(parse_poly("x1", 1), 3)
+    assert ser.terms == {(1,): Fraction(1), (2,): Fraction(-1), (3,): Fraction(2)}
 
 
 def test_tate_verdicts():

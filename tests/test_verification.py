@@ -39,15 +39,62 @@ print(json.dumps(out))
 """
 
 
-def test_wrong_lattice_answer_is_caught_under_optimize():
+def run_optimized(script):
+    """(last stdout line as JSON, stderr) of a script run under python -O."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def test_wrong_lattice_answer_is_caught_under_optimize():
+    out, stderr = run_optimized(SCRIPT)
     assert out["debug"] is False
     assert out["binary"].startswith("VerificationError: decomposition of Jq5 fails evaluation")
     assert out["hit"].startswith("VerificationError: hit certificate does not reconstruct")
     assert out["exit"] == 5
-    assert proc.stderr.startswith("error: decomposition of Jq5 fails evaluation")
+    assert stderr.startswith("error: decomposition of Jq5 fails evaluation")
+
+
+# The degree-by-degree series solver with a wrong step: each Jq^k image doubled.
+# Its residual is built through the kernel's apply_element, which stays right.
+SERIES_SCRIPT = """
+import json
+
+from jqforge import action, cli, series
+from jqforge.errors import VerificationError
+from jqforge.poly import parse_poly
+
+
+def doubled(k, f):
+    return 2 * action.apply_jq(k, f)
+
+
+series.apply_jq = doubled
+x = parse_poly("x1", 1)
+out = {"debug": __debug__}
+for name, call in [
+    ("geometric", lambda: series.geometric_inverse(1, x, 6)),
+    ("total", lambda: series.apply_conj_total(x, 3)),
+]:
+    try:
+        call()
+        out[name] = "returned"
+    except VerificationError as exc:
+        out[name] = "VerificationError: " + str(exc)
+out["exit"] = cli.main(["geom", "--k", "1", "--poly", "x1", "--order", "6"])
+print(json.dumps(out))
+"""
+
+
+def test_wrong_series_step_is_caught_under_optimize():
+    out, stderr = run_optimized(SERIES_SCRIPT)
+    assert out["debug"] is False
+    assert out["geometric"] == "VerificationError: geometric inverse of Jq1 fails its residual check"
+    assert out["total"] == (
+        "VerificationError: inverse of the total operation fails its residual check"
+    )
+    assert out["exit"] == 5
+    assert stderr == "error: geometric inverse of Jq1 fails its residual check\n"
