@@ -4,8 +4,12 @@ A polynomial f is hit when f = sum of Jq^i applied to cofactors with
 2-adically integral coefficients, i ranging over positive degrees.  For a
 single power of one variable the decision reduces to a binomial
 valuation; the general graded case is a 2-adic lattice membership over
-monomial columns.  Positive decisions return certificates that are
-re-verified before being handed back.
+monomial columns.  That membership is refused mod 2 first: a Z_(2)
+combination of the columns reduces to an F_2 combination of the columns
+mod 2 (Jq^i is Sq^i there), so f outside their F_2 span is not hit, and
+only the rest pay for the lattice.  The same F_2 test is `classical_hit`.
+Positive decisions return certificates that are re-verified before being
+handed back.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from .action import apply_jq, word_images
 from .errors import DomainError, VerificationError
 from . import linalg
-from .poly import Polynomial, format_poly, monomials_upto
+from .poly import Polynomial, format_poly, monomials_of_degree
 from .scalar2 import INF, binom, in_z2, v2
 
 
@@ -102,7 +106,7 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
         return True, cert
     top = d if precision_j is None else min(d, precision_j + 1)
     gens = _columns(f.arity, d, {i: [(i,)] for i in range(1, top)})
-    combo = linalg.Z2Lattice(gens).contains(f.terms)
+    combo = _membership(gens, f)
     if combo is None:
         return False, None
     grouped = {}
@@ -118,13 +122,26 @@ def _columns(arity, d, words_by_degree):
     """Nonzero generators ((w, mu), w(x^mu)), w in words_by_degree[b] and |mu| = d - b."""
     gens = []
     for b, pool in words_by_degree.items():
-        for mu in monomials_upto(arity, d - b):
-            if sum(mu) != d - b:
-                continue
+        for mu in monomials_of_degree(arity, d - b):
             for w, col in zip(pool, word_images(pool, mu)):
                 if col:
                     gens.append(((w, mu), col))
     return gens
+
+
+def _in_f2_span(gens, f):
+    """Whether f mod 2 lies in the F_2 span of the int columns mod 2."""
+    cols = [{e for e, c in col.items() if c & 1} for _, col in gens]
+    target = {e for e, c in f.terms.items() if c.numerator & 1}
+    null = linalg.f2_row_nullspace(cols + [target])
+    return bool(null) and null[-1][-1] == len(cols)
+
+
+def _membership(gens, f):
+    """Z_(2) coefficients of f over the columns, or None; refused mod 2 first."""
+    if not _in_f2_span(gens, f):
+        return None
+    return linalg.Z2Lattice(gens).contains(f.terms)
 
 
 def _verify_certificate(cert: HitCertificate, f: Polynomial):
@@ -155,8 +172,7 @@ def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:
     value = 0
     for j in range(1, max_j + 1):
         pools = {b: [w for w in words_of_degree(b) if len(w) >= j] for b in range(j, d)}
-        gens = _columns(f.arity, d, pools)
-        if gens and linalg.Z2Lattice(gens).contains(f.terms) is not None:
+        if _membership(_columns(f.arity, d, pools), f) is not None:
             value = j
         else:
             break
@@ -166,17 +182,8 @@ def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:
 def classical_hit(f: Polynomial) -> bool:
     """Whether the mod-2 reduction of f is hit over the classical algebra.
 
-    Columns are the squaring operations applied to monomials; f is hit
-    when some F_2 relation among the columns and f involves f itself.
+    Jq^i reduces to Sq^i mod 2, so the columns are the images Jq^i(x^mu)
+    mod 2, and f is hit when its reduction lies in their F_2 span.
     """
-    from .opalg import sq_on_f2
-
     d = _check_input(f)
-    cols = [
-        sq_on_f2(i, frozenset([mu]), f.arity)
-        for i in range(1, d)
-        for mu in monomials_upto(f.arity, d - i)
-        if sum(mu) == d - i
-    ]
-    target = {e for e, c in f.terms.items() if c.numerator % 2 == 1}
-    return any(len(cols) in combo for combo in linalg.f2_row_nullspace(cols + [target]))
+    return _in_f2_span(_columns(f.arity, d, {i: [(i,)] for i in range(1, d)}), f)

@@ -6,9 +6,10 @@ its denominators, a nonzero multiple of itself, so its zero pattern, and
 with it every pivot choice, is that of elimination over Fractions;
 Fractions are built only for what is returned.
 
-Rows are dicts keyed by orderable column ids, and each row carries its
-combination over the tags of the original rows.  `_scale_sub` is the
-one row operation, applied alike to rows and combinations.
+Rows are dicts keyed by orderable column ids, and each stored row has
+its combination over the tags of the original rows.  `_scale_sub` is
+the one row operation of `SparseEchelon`, applied alike to rows and
+combinations.
 
 Over Q: `SparseEchelon`, incremental, pivoting on the least column.  It
 is the one rational core: `nullspace` of sparse columns, `solve_affine`
@@ -17,7 +18,9 @@ first equation that contradicts those before it), and span membership.
 
 Over Z_(2): `Z2Lattice` works in batch and pivots on the least (2-adic
 valuation, column) over the whole pool, so that every step is
-invertible over Z_(2) and the lattice is kept exactly.
+invertible over Z_(2) and the lattice is kept exactly.  Its rows are
+eliminated alone; a row's combination is replayed from its logged steps
+only when the row becomes a pivot, since most rows end as zero.
 
 Over F_2: `f2_row_nullspace`, an echelon on bitmasks.
 
@@ -211,6 +214,53 @@ def _pivot_key(row):
     return v, min(k for k, x in row.items() if x >> v & 1)
 
 
+def _eliminate(row, u, a, brow, log, j):
+    """row <- (u*row - a*brow)/g in place, g the odd part of the result's content.
+
+    u and a are first divided by their gcd, and u made positive.  A row
+    left nonzero logs (u, a, j, g), j the index of brow among the pivots,
+    and gets its new pivot key back; a zero row gets None.
+    """
+    g = gcd(u, a)
+    u, a = u // g, a // g
+    if u < 0:
+        u, a = -u, -a
+    if u != 1:
+        for k in row:
+            row[k] *= u
+    _sub(row, a, brow)
+    if not row:
+        return None
+    g = gcd(*row.values())
+    v = v2_int(g)
+    g >>= v
+    if g != 1:
+        for k in row:
+            row[k] //= g
+    log.append((u, a, j, g))
+    return v, min(k for k, x in row.items() if x >> v & 1)
+
+
+def _replay(combo, log, basis):
+    """Follow a row's logged steps on its combination, in place; returns m.
+
+    m is odd, and the combination sums to m times the row: a step
+    (u, a, j, g), with C the combination of pivot j in basis, sends it to
+    u*combo - m*a*C, which sums to m*g times the new row.  The pair stays
+    a unit multiple of the one built by eliminating row and combination
+    together, so the zero patterns, and with them the keys' insertion
+    order, are the same.
+    """
+    m = 1
+    for u, a, j, g in log:
+        if u != 1:
+            for k in combo:
+                combo[k] *= u
+        _sub(combo, m * a, basis[j][2])
+        m *= g
+    return m
+
+
 class Z2Lattice:
     """Span of generator rows over the 2-adic integers, with membership tests.
 
@@ -224,10 +274,17 @@ class Z2Lattice:
     ties to the earliest row, read from a key each row caches and
     recomputes only when a step changes it.  Every other entry a in the
     pivot column has a >> v exact, and row <- u*row - (a >> v)*pivot row
-    multiplies the row by a unit of Z_(2).  So does dividing a row and its
-    combination by their content, which is odd: a pool row's own tag keeps
-    an odd coefficient, since no pivot row's combination holds that tag.
-    Lattice and pivot order are those of elimination over Fractions.
+    multiplies the row by a unit of Z_(2); so does dividing it by the odd
+    part of its content.  Dividing by a power of 2 would not: it would
+    move the (valuation, column) keys.  Lattice and pivot order are those
+    of elimination over Fractions.
+
+    Pool rows are eliminated alone, and each logs its steps; most of them
+    end as zero and never need a combination.  A row that becomes a pivot
+    replays its log against the earlier pivots' combinations (`_replay`),
+    and the pair is divided by its joint content, which is odd: the row's
+    own tag keeps an odd coefficient, since no earlier pivot's combination
+    holds that tag.
 
     `basis` lists (column, row, combination) in pivot order.  Each row is
     a unit multiple of the row elimination over Fractions gives, in the
@@ -246,19 +303,27 @@ class Z2Lattice:
             shift = top - v2_int(den)
             if shift:
                 row = {k: x << shift for k, x in row.items()}
-            pool.append([_pivot_key(row), row, {tag: den >> v2_int(den)}])
+            pool.append([_pivot_key(row), row, {tag: den >> v2_int(den)}, []])
         self.basis = []
         while pool:
             i = min(range(len(pool)), key=lambda j: pool[j][0])
-            (v, pos), brow, bcombo = pool.pop(i)
+            (v, pos), brow, bcombo, log = pool.pop(i)
+            m = _replay(bcombo, log, self.basis)
+            if m != 1:
+                for k in brow:
+                    brow[k] *= m
+            g = gcd(*brow.values(), *bcombo.values())
+            if g != 1:
+                for k in brow:
+                    brow[k] //= g
+                for k in bcombo:
+                    bcombo[k] //= g
             unit = brow[pos] >> v
             for entry in pool:
-                _, row, combo = entry
+                row = entry[1]
                 a = row.get(pos)
                 if a is not None:
-                    _scale_sub(row, combo, unit, a >> v, brow, bcombo)
-                    if row:
-                        entry[0] = _pivot_key(row)
+                    entry[0] = _eliminate(row, unit, a >> v, brow, entry[3], len(self.basis))
             pool = [entry for entry in pool if entry[1]]
             if top:
                 brow = {k: Fraction(x, 1 << top) for k, x in brow.items()}
@@ -316,5 +381,10 @@ def f2_row_nullspace(rows):
             r ^= br
             combo ^= bc
         if r == 0:
-            null.append([j for j in range(i + 1) if combo >> j & 1])
+            members = []
+            while combo:
+                low = combo & -combo
+                members.append(low.bit_length() - 1)
+                combo ^= low
+            null.append(members)
     return null

@@ -270,3 +270,19 @@ def monomials_upto(arity: int, max_deg: int):
         yield ()
         return
     yield from rec(0, max_deg, [])
+
+
+def monomials_of_degree(arity: int, d: int):
+    """Yield the exponent tuples of total degree d, in monomials_upto's order."""
+    def rec(pos, remaining, acc):
+        if pos == arity - 1:
+            yield tuple(acc + [remaining])
+            return
+        for e in range(remaining + 1):
+            yield from rec(pos + 1, remaining - e, acc + [e])
+
+    if arity == 0:
+        if d == 0:
+            yield ()
+    elif d >= 0:
+        yield from rec(0, d, [])

@@ -63,6 +63,11 @@ BASE_CASES = [
     # x1^23 = Jq8((1/6435)*x1^15): the default cap of 6 misses it and says so
     (["hit", "--poly", "x1^23"], None),
     (["hit", "--poly", "x1^23", "--max-j", "22"], None),
+    # hit in 3 and in 4 variables; refused mod 2; hit mod 2 but not 2-adically
+    (["hit", "--poly", "x1^5*x2^4*x3^3", "--vars", "3"], None),
+    (["hit", "--poly", "x1^2*x2^2*x3^2*x4^3", "--vars", "4"], None),
+    (["hit", "--poly", "x1^3*x2^2*x3^2", "--vars", "3"], None),
+    (["hit", "--poly", "2*x1^2 + 4*x1*x2", "--vars", "2"], None),
     (["cohit", "--d", "7"], None),
     (["cohit", "--d", "1"], None),
     (["ore", "--theta", "Jq1", "--eta", "Jq2"], None),

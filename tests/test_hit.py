@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jqforge import hit
 from jqforge.action import apply_jq
 from jqforge.errors import DomainError
 from jqforge.hit import (
@@ -15,7 +17,9 @@ from jqforge.hit import (
     min_hit_valuation,
     module_adem_filtration,
 )
-from jqforge.poly import Polynomial, monomials_upto, parse_poly
+from jqforge.linalg import Z2Lattice
+from jqforge.opalg import sq_on_f2
+from jqforge.poly import Polynomial, monomials_of_degree, monomials_upto, parse_poly
 from jqforge.scalar2 import INF, v2
 
 
@@ -208,3 +212,68 @@ def test_certificates_rebuild_random_images(f):
     ok, cert = hit_decide_graded(f)
     assert ok
     assert cert.reconstruct(f.arity) == f
+
+
+@st.composite
+def unit_inputs(draw):
+    """A homogeneous polynomial with 2-adic unit coefficients on a few monomials."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, (12, 7, 5)[n - 1]))
+    support = draw(st.lists(st.sampled_from(list(monomials_of_degree(n, d))), min_size=1, max_size=4, unique=True))
+    unit = st.sampled_from([1, -1, 3, -5, F(1, 3), F(-7, 5)])
+    return Polynomial(n, {mu: F(draw(unit)) for mu in support})
+
+
+@st.composite
+def z2_inputs(draw):
+    """Unit inputs, images sum_i Jq^i(g_i), and the doubles of both."""
+    f = draw(st.one_of(unit_inputs(), images()))
+    return f * 2 if draw(st.booleans()) else f
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(z2_inputs())
+def test_refusal_mod_2_never_changes_a_verdict(f):
+    d = f.degree()
+    gens = hit._columns(f.arity, d, {i: [(i,)] for i in range(1, d)})
+    assert hit_decide_graded(f)[0] == (Z2Lattice(gens).contains(f.terms) is not None)
+    refused = module_adem_filtration(f, max_j=3)
+    with mock.patch.object(hit, "_in_f2_span", lambda gens, f: True):
+        assert module_adem_filtration(f, max_j=3) == refused
+
+
+def test_refused_mod_2():
+    # x1^3*x2^2*x3^2 is not hit mod 2, so no lattice is built; 2*x1^2 + 4*x1*x2
+    # is 0 mod 2, passes, and is then found not hit 2-adically
+    for text, n, refused in (("x1^3*x2^2*x3^2", 3, True), ("2*x1^2 + 4*x1*x2", 2, False)):
+        f = parse_poly(text, n)
+        with mock.patch.object(hit.linalg, "Z2Lattice", wraps=Z2Lattice) as lattice:
+            assert not hit_decide_graded(f)[0]
+        assert lattice.called != refused
+
+
+def _f2_rank(rows):
+    """Rank of F_2 rows given as sets of monomials, by elimination on least keys."""
+    basis = {}
+    for row in rows:
+        row = set(row)
+        while row and min(row) in basis:
+            row ^= basis[min(row)]
+        if row:
+            basis[min(row)] = row
+    return len(basis)
+
+
+def test_classical_hit_matches_the_squares_on_f2():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        d = rng.randint(2, (10, 7, 5)[n - 1])
+        monomials = list(monomials_of_degree(n, d))
+        support = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+        f = Polynomial(n, {mu: F(rng.choice((1, 2, 3, -1, -4, 5))) for mu in support})
+        squares = [
+            sq_on_f2(i, frozenset([mu]), n) for i in range(1, d) for mu in monomials_of_degree(n, d - i)
+        ]
+        odd = {mu for mu, c in f.terms.items() if c.numerator % 2}
+        assert classical_hit(f) == (_f2_rank(squares + [odd]) == _f2_rank(squares)), f

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jqforge import linalg
+from jqforge import hit, linalg
 from jqforge.scalar2 import in_z2, v2
 
 PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
@@ -174,6 +174,7 @@ def test_f2_row_nullspace_is_a_basis_of_the_zero_sums(rows):
     null = linalg.f2_row_nullspace(rows)
     for combo in null:
         assert combo and _f2_sum(rows, combo) == set()
+        assert combo == sorted(set(combo))
     # the kernel has 2^dim elements: count the zero-sum subsets directly
     zero_sums = sum(
         1
@@ -272,9 +273,7 @@ def lattice_generators(draw):
     return list(enumerate(draw(st.permutations(gens))))
 
 
-@PROPERTY
-@given(lattice_generators(), st.lists(z2_scalars, min_size=10, max_size=10), sparse_rows)
-def test_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
+def _assert_matches_the_fraction_elimination(gens, coeffs, other):
     lattice, oracle = linalg.Z2Lattice(gens), _FractionZ2Lattice(gens)
     rows = dict(gens)
     member = _combine(rows, dict(zip(rows, coeffs)))
@@ -295,6 +294,44 @@ def test_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
         assert all(type(c) is int for c in combo.values())
         if odd_denominators:
             assert all(type(x) is int for x in row.values())
+
+
+@PROPERTY
+@given(lattice_generators(), st.lists(z2_scalars, min_size=10, max_size=10), sparse_rows)
+def test_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
+    _assert_matches_the_fraction_elimination(gens, coeffs, other)
+
+
+@st.composite
+def tall_lattice_generators(draw):
+    """12 to 16 integral rows on 4 to 6 columns; past the first 6 to 8, odd multiples of sums of others.
+
+    With more rows than columns most rows are reduced several times before
+    they pivot or vanish, and the odd multipliers give rows an odd content
+    that the elimination divides out and the combinations must follow.
+    """
+    ncols = draw(st.integers(4, 6))
+    row = st.dictionaries(st.integers(0, ncols - 1), lattice_ints, min_size=1, max_size=ncols)
+    gens = draw(st.lists(row, min_size=6, max_size=8))
+    size = draw(st.integers(12, 16))
+    while len(gens) < size:
+        lam, mu = draw(st.sampled_from([3, 5, -7, -9])), draw(st.sampled_from([0, 1, 2, -4]))
+        a, b = gens[draw(st.integers(0, len(gens) - 1))], gens[draw(st.integers(0, len(gens) - 1))]
+        gens.append({k: v for k in a.keys() | b.keys() if (v := lam * a.get(k, 0) + mu * b.get(k, 0))})
+    return list(enumerate(draw(st.permutations(gens))))
+
+
+@PROPERTY
+@given(tall_lattice_generators(), st.lists(z2_scalars, min_size=16, max_size=16), sparse_rows)
+def test_tall_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
+    _assert_matches_the_fraction_elimination(gens, coeffs, other)
+
+
+def test_z2_lattice_of_hit_columns_matches_the_fraction_elimination():
+    # the columns Jq^i(x^mu), |mu| = 7 - i, that decide hits in degree 7 over 3 variables
+    gens = hit._columns(3, 7, {i: [(i,)] for i in range(1, 7)})
+    coeffs = [(-1) ** t * (t % 5) for t in range(len(gens))]
+    _assert_matches_the_fraction_elimination(gens, coeffs, {(3, 2, 2): 1, (7, 0, 0): 3})
 
 
 def _fraction_gauss_jordan(mat, ncols):

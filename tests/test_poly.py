@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jqforge.errors import DomainError, ParseError
-from jqforge.poly import Polynomial, format_poly, monomials_upto, parse_poly
+from jqforge.poly import Polynomial, format_poly, monomials_of_degree, monomials_upto, parse_poly
 
 
 def rand_poly(rng, arity, deg, nterms=4):
@@ -126,3 +126,10 @@ def test_monomials_upto():
     ms = list(monomials_upto(2, 2))
     assert set(ms) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
     assert len(list(monomials_upto(3, 4))) == 35
+
+
+def test_monomials_of_degree_are_those_of_monomials_upto_in_order():
+    for arity in range(5):
+        for d in range(-1, 7):
+            expect = [mu for mu in monomials_upto(arity, max(d, 0)) if sum(mu) == d]
+            assert list(monomials_of_degree(arity, d)) == expect, (arity, d)
