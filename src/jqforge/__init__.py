@@ -36,8 +36,6 @@ from .errors import (
     NotInZ2Error,
     ParseError,
     ResolutionFailedError,
-    UndefinedError,
-    UnsupportedCoefficientsError,
     VerificationError,
 )
 from .poly import Polynomial, format_poly, parse_poly
@@ -52,8 +50,6 @@ __all__ = [
     "ParseError",
     "DomainError",
     "NotInZ2Error",
-    "UndefinedError",
-    "UnsupportedCoefficientsError",
     "IndecomposableError",
     "NotFoundError",
     "ResolutionFailedError",

@@ -21,22 +21,20 @@ kernel:
   ``{word: coeff}`` and drops the terms that cancel;
 - ``apply_element(terms, f)``, the only entry point for a Polynomial, sums
   ``c * element_image(terms, mu)`` over the terms ``c * x^mu`` of f.
-  ``apply_jq``, ``apply_word``, ``apply_psi_q`` and ``apply_total`` each
-  hand it one element.
+  ``apply_jq`` and ``apply_word`` each hand it one element.
 
 Words act by composition with the rightmost entry applied first, matching
 the concatenation product of the operator algebra.
 
-This module imports nothing above `poly`.  The inverses of 1 - Jq^k and of
-the total operation are infinite series, so they live in `series`.
+This module imports nothing above `poly`.  The inverse of 1 - Jq^k is an
+infinite series, so it lives in `series`.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
-from .errors import DomainError, UndefinedError
+from .errors import DomainError
 from .poly import Polynomial
 from .scalar2 import binom
 
@@ -129,51 +127,6 @@ def apply_jq(k: int, f: Polynomial) -> Polynomial:
     return apply_element({(k,): 1}, f)
 
 
-def apply_total(f: Polynomial, max_deg=None) -> Polynomial:
-    """Apply the full operation: sum of all graded pieces.
-
-    On a polynomial of degree d only pieces up to degree d contribute, so the
-    sum is finite.  max_deg truncates the output degree when given.
-    """
-    out = apply_psi_q(1, f)
-    if max_deg is not None:
-        out = Polynomial(f.arity, {e: c for e, c in out.terms.items() if sum(e) <= max_deg})
-    return out
-
-
 def apply_word(word, f: Polynomial) -> Polynomial:
     """Apply a composite word, rightmost factor first."""
     return apply_element({tuple(word): 1}, f)
-
-
-def apply_psi_q(q, f: Polynomial) -> Polynomial:
-    """Sum over k of q^k times the k-piece applied to f; pieces past deg f vanish."""
-    q = Fraction(q)
-    return apply_element({(k,) if k else (): q**k for k in range(f.degree() + 1)}, f)
-
-
-def jq_on_inverse_monomial(k: int) -> tuple:
-    """Closed form on the formal inverse generator: returns (sign, exponent shift).
-
-    The degree-k piece sends the inverse generator to (-1)^k times the
-    monomial of degree k - 1... encoded as the pair ((-1)^k, k - 1).
-    """
-    if k < 0:
-        raise DomainError("operation degree must be nonnegative")
-    return ((-1) ** k, k - 1)
-
-
-def apply_jq_neg(k: int, m: int) -> Fraction:
-    """Coefficient 1/C(m-k, k) of the formal preimage of the m-th power.
-
-    Inverting the degree-k piece on a single power gives, up to an omitted
-    constant of integration, the monomial of degree m-k scaled by this
-    coefficient.  The closed form only applies when C(m-k, k) is nonzero,
-    which under the precondition m > k means m - k >= k.
-    """
-    if k <= 0 or m <= 0:
-        raise DomainError("need k >= 1 and m >= 1")
-    c = binom(m - k, k) if m - k >= 0 else 0
-    if c == 0:
-        raise UndefinedError(f"closed form undefined for k={k}, m={m}")
-    return Fraction(1, c)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ParseError -> 2, domain errors -> 3,
-the "no answer exists" pair NotFoundError / NoSolutionError -> 4, and
+The CLI maps these onto exit codes: ParseError -> 2, DomainError and its
+NotInZ2Error / IndecomposableError -> 3, the "no answer exists" kinds
+NotFoundError / ResolutionFailedError / NoSolutionError -> 4, and
 VerificationError -> 5 (an answer was computed but failed its own check,
 which is a fault in the program, not in the input).  Any other exception
 reaching the CLI is an internal error, exit 70.
@@ -22,14 +23,6 @@ class DomainError(JqError, ValueError):
 
 class NotInZ2Error(DomainError):
     """A scalar with even denominator appeared where a 2-adic integer is required."""
-
-
-class UndefinedError(DomainError):
-    """The requested closed form does not exist for these arguments."""
-
-
-class UnsupportedCoefficientsError(DomainError):
-    """The solver only handles scalar coefficients; a non-constant one was supplied."""
 
 
 class IndecomposableError(DomainError):

@@ -62,7 +62,9 @@ def adem_valuation(e: OpElement) -> ValuationReport:
     Solved on the one-variable grid to degree d, the exact single-variable
     system (see `relations`), descending j, so the value is the order of e
     in the filtration by powers of the positive-degree ideal.  The witness
-    is the rewriting into long words.
+    is the rewriting into long words.  The gauge is one-variable: an
+    element whose one-variable image is zero, whether or not it is zero in
+    more variables, gets inf, as the zero element does.
     """
     if not e.terms:
         return ValuationReport(INF, "ademWordLength", {"mDegree": 0})
@@ -75,6 +77,8 @@ def adem_valuation(e: OpElement) -> ValuationReport:
         raise DomainError("mixed identity term; split the element first")
     words = words_of_degree(d)
     *vecs, target = _grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
+    if not target:
+        return ValuationReport(INF, "ademWordLength", {"mDegree": d})
     for j in range(d, 0, -1):
         ech = linalg.SparseEchelon()
         for w, vec in zip(words, vecs):

@@ -1,4 +1,4 @@
-"""Free non-commutative algebra of operator words with dyadic coefficients.
+"""Operator elements: rational combinations of words, and what acts on them.
 
 A word is a tuple of positive integers naming a composite of graded
 operations; the empty word is the identity.  The tuple (2, 1) means the
@@ -6,10 +6,9 @@ degree-1 piece acts first and the degree-2 piece second, consistent with
 how apply_word composes.  Elements are finite rational combinations of
 words with the concatenation product.
 
-The module also carries the Hopf structure (coproduct, counit, conjugation),
-the mod-2 reduction onto the classical squaring algebra with admissible
-normalization, an independent classical action on F_2 polynomials used as a
-cross-check oracle, and equality decided by exact evaluation sweeps.
+The module also carries their text form, the conjugation chi(Jq^k), the
+mod-2 reduction onto admissible classical words, and equality decided by
+exact evaluation sweeps.
 """
 
 from __future__ import annotations
@@ -219,35 +218,7 @@ def parse_op(text: str) -> OpElement:
     return total
 
 
-# -- Hopf structure ---------------------------------------------------
-
-
-def coproduct(e: OpElement) -> dict:
-    """Tensor expansion as a map (left word, right word) -> coefficient.
-
-    On a generator the coproduct splits the degree across the tensor factors;
-    on a word it multiplies out factor by factor, with degree-0 pieces
-    disappearing into the identity.
-    """
-    out = {}
-    for w, c in e.terms.items():
-        pairs = [((), ())]
-        for k in w:
-            nxt = []
-            for left, right in pairs:
-                for i in range(k + 1):
-                    j = k - i
-                    nl = left + ((i,) if i else ())
-                    nr = right + ((j,) if j else ())
-                    nxt.append((nl, nr))
-            pairs = nxt
-        for key in pairs:
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def counit(e: OpElement) -> Fraction:
-    return e.terms.get((), Fraction(0))
+# -- conjugation ------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,14 +276,6 @@ def admissible_form(word: tuple) -> frozenset:
     return frozenset({word})
 
 
-def classical_mul(x: frozenset, y: frozenset) -> frozenset:
-    out = frozenset()
-    for w1 in x:
-        for w2 in y:
-            out = out ^ admissible_form(w1 + w2)
-    return out
-
-
 def phi_reduce(e: OpElement) -> frozenset:
     """Mod-2 reduction onto admissible classical words.
 
@@ -332,38 +295,6 @@ def format_classical(x: frozenset) -> str:
         return "0"
     words = sorted(x, key=word_key)
     return " + ".join("Sq0" if not w else ".".join(f"Sq{k}" for k in w) for w in words)
-
-
-def sq_on_f2(k: int, terms: frozenset, arity: int) -> frozenset:
-    """Classical degree-k square on an F_2 polynomial given as a monomial set.
-
-    Implements the Cartan distribution across variables with mod-2 binomial
-    coefficients via the digit-subset test.  Written directly from the
-    classical rules so it can serve as an independent oracle for the
-    reduction homomorphism.
-    """
-    if k < 0:
-        raise DomainError("operation degree must be nonnegative")
-    out = set()
-    for exps in terms:
-        stack = [(0, k, exps)]
-        while stack:
-            pos, remaining, acc = stack.pop()
-            if pos == arity:
-                if remaining == 0:
-                    key = tuple(acc)
-                    if key in out:
-                        out.remove(key)
-                    else:
-                        out.add(key)
-                continue
-            e = acc[pos]
-            for j in range(min(e, remaining) + 1):
-                # C(e, j) is odd exactly when the binary digits of j and e-j do not collide
-                if (j & (e - j)) == 0:
-                    raised = tuple(acc[:pos]) + (e + j,) + tuple(acc[pos + 1:])
-                    stack.append((pos + 1, remaining - j, raised))
-    return frozenset(out)
 
 
 # -- evaluation semantics ---------------------------------------------

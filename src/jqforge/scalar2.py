@@ -69,10 +69,6 @@ def valuation_and_abs(r) -> tuple:
     return v, Fraction(1 << (-v))
 
 
-def two_adic_abs(r) -> Fraction:
-    return valuation_and_abs(r)[1]
-
-
 def in_z2(r) -> bool:
     """True when r has odd denominator, i.e. lies in the 2-adic integers."""
     return Fraction(r).denominator % 2 == 1

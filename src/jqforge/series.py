@@ -1,12 +1,12 @@
 """Truncated power series over 2-adic rationals.
 
 Covers the completion-side tooling: re-centered series, operator
-application, the inverses of 1 - Jq^k and of the total operation, a
-Tate-membership check on valuation profiles, and the ODE-style solver
-that matches coefficients of operator equations around a chosen center.
-Both inverses come from one degree-by-degree solver.  Every solution is
-verified by an independent residual pass before being returned, with a
-check that raises VerificationError and so still runs under python -O.
+application, the geometric inverse of 1 - Jq^k, a Tate-membership check
+on valuation profiles, and the ODE-style solver that matches
+coefficients of operator equations around a chosen center.  Every
+solution is verified by an independent residual pass before being
+returned, with a check that raises VerificationError and so still runs
+under python -O.
 """
 
 from __future__ import annotations
@@ -16,15 +16,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .action import apply_element, apply_jq
-from .errors import (
-    DomainError,
-    NoSolutionError,
-    ParseError,
-    UnsupportedCoefficientsError,
-    VerificationError,
-)
+from .errors import DomainError, NoSolutionError, ParseError, VerificationError
 from . import linalg
-from .opalg import OpElement, eval_element, word_key
+from .opalg import OpElement, eval_element
 from .poly import Polynomial
 from .scalar2 import binom, format_scalar, parse_scalar, v2
 
@@ -248,36 +242,14 @@ def tate_check(s: TruncatedSeries) -> TateReport:
     return TateReport(verdict, profile, window)
 
 
-def _solve_by_degree(f: Polynomial, coeffs: dict, order: int, what: str) -> TruncatedSeries:
-    """The h with h = f + sum_k c_k Jq^k(h) through degree order, verified.
-
-    Jq^k raises degree by exactly k, so the degree-d part of the equation
-    reads h_d = f_d + sum_k c_k Jq^k(h_(d-k)) and fixes h one degree at a
-    time.  Before returning, h - sum_k c_k Jq^k(h) - f, built through the
-    kernel in one pass, must have no term of degree <= order; otherwise
-    VerificationError names what was being solved.
-    """
-    parts = {}
-    for d in range(order + 1):
-        acc = f.graded_part(d)
-        for k, c in coeffs.items():
-            prev = parts.get(d - k)
-            if prev:
-                acc = acc + c * apply_jq(k, prev)
-        if acc:
-            parts[d] = acc
-    h = Polynomial(f.arity, {e: c for part in parts.values() for e, c in part.terms.items()})
-    residual = h - apply_element({(k,): c for k, c in coeffs.items()}, h) - f
-    if any(sum(e) <= order for e in residual.terms):
-        raise VerificationError(f"{what} fails its residual check")
-    return TruncatedSeries(f.arity, order, h.terms)
-
-
 def geometric_inverse(k: int, f: Polynomial, order: int) -> TruncatedSeries:
     """Sum of all iterates of Jq^k on f, the inverse of 1 - Jq^k, through degree order.
 
-    The h with h = f + Jq^k(h); applying 1 - Jq^k to it recovers f through
-    degree order, which is checked before returning.
+    The h with h = f + Jq^k(h).  Jq^k raises degree by exactly k, so the
+    degree-d part reads h_d = f_d + Jq^k(h_(d-k)) and fixes h one degree
+    at a time.  Before returning, h - Jq^k(h) - f, built through the
+    kernel in one pass, must have no term of degree <= order; otherwise
+    VerificationError.
     """
     if k < 1:
         raise DomainError("operator index must be positive")
@@ -285,73 +257,42 @@ def geometric_inverse(k: int, f: Polynomial, order: int) -> TruncatedSeries:
         raise DomainError("geometric inverse expects one variable")
     if f.terms and f.degree() > order:
         raise DomainError("truncation order below the input degree")
-    return _solve_by_degree(f, {k: 1}, order, f"geometric inverse of Jq{k}")
-
-
-def apply_conj_total(f: Polynomial, order: int) -> TruncatedSeries:
-    """Solve for h with (total operation)(h) = f, truncated at the given degree.
-
-    The total operation is 1 + sum over k >= 1 of Jq^k, so h = f - sum_k
-    Jq^k(h), and only k <= order reaches degree order.  Returns a
-    truncated series since the inverse is generally infinite.
-    """
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    coeffs = {k: -1 for k in range(1, order + 1)}
-    return _solve_by_degree(f, coeffs, order, "inverse of the total operation")
+    parts = {}
+    for d in range(order + 1):
+        acc = f.graded_part(d)
+        prev = parts.get(d - k)
+        if prev:
+            acc = acc + apply_jq(k, prev)
+        if acc:
+            parts[d] = acc
+    h = Polynomial(1, {e: c for part in parts.values() for e, c in part.terms.items()})
+    residual = h - apply_element({(k,): 1}, h) - f
+    if any(sum(e) <= order for e in residual.terms):
+        raise VerificationError(f"geometric inverse of Jq{k} fails its residual check")
+    return TruncatedSeries(1, order, h.terms)
 
 
 # -- operator equations ------------------------------------------------
 
 
 class Sode:
-    """Operator equation theta(zeta) = rhs over one variable.
+    """Operator equation theta(zeta) = rhs over one variable, theta a nonzero element."""
 
-    Coefficients may be handed in as polynomials; the solver only covers
-    the constant-coefficient case and refuses anything else.
-    """
+    __slots__ = ("element", "rhs")
 
-    __slots__ = ("coefficients", "rhs")
-
-    def __init__(self, operator, rhs: Polynomial):
-        if isinstance(operator, OpElement):
-            table = {w: Polynomial.constant(c, 1) for w, c in operator.terms.items()}
-        else:
-            table = {}
-            for w, p in dict(operator).items():
-                w = tuple(w)
-                if not isinstance(p, Polynomial):
-                    p = Polynomial.constant(p, 1)
-                if p.arity != 1:
-                    raise DomainError("coefficients must be one-variable polynomials")
-                if p.terms:
-                    table[w] = p
-        if not table:
+    def __init__(self, operator: OpElement, rhs: Polynomial):
+        if not operator:
             raise DomainError("operator must be nonzero")
         if rhs.arity != 1:
             raise DomainError("right-hand side must have one variable")
-        object.__setattr__(
-            self, "coefficients", tuple(sorted(table.items(), key=lambda t: word_key(t[0])))
-        )
+        object.__setattr__(self, "element", operator)
         object.__setattr__(self, "rhs", rhs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sode is immutable")
 
-    @property
-    def element(self) -> OpElement:
-        acc = OpElement.zero()
-        for w, p in self.coefficients:
-            if p.degree() > 0:
-                raise UnsupportedCoefficientsError(
-                    "solver covers constant coefficients only; "
-                    f"word {w} carries a degree-{p.degree()} coefficient"
-                )
-            acc = acc + OpElement.from_word(w, p.terms.get((0,), Fraction(0)))
-        return acc
-
     def degree(self) -> int:
-        return max(sum(w) for w, _ in self.coefficients)
+        return self.element.degree()
 
 
 def _coefficient_equations(eq: Sode, xi0, order: int):

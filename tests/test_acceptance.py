@@ -26,12 +26,13 @@ from jqforge.opalg import (
     eval_element,
     format_op,
     nilpotency_degree,
-    sq_on_f2,
     equal_by_evaluation,
 )
 from jqforge.poly import Polynomial, format_poly, parse_poly
 from jqforge.scalar2 import INF, v2
 from jqforge import golden, hit, norms, relations, series
+
+from f2_oracle import sq_on_f2
 
 
 @contextmanager

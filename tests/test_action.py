@@ -1,12 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jqforge import action
-from jqforge.errors import DomainError, UndefinedError
 from jqforge.poly import Polynomial, parse_poly
 
 
@@ -39,15 +37,21 @@ def test_apply_jq_known_values():
     assert action.apply_jq(1, Polynomial.constant(5, 2)) == Polynomial.zero(2)
 
 
+def psi_q(q, f):
+    """f under the element {(): 1, (1,): q, (2,): q^2, ...}; pieces past deg f vanish."""
+    q = Fraction(q)
+    return action.apply_element({(k,) if k else (): q**k for k in range(f.degree() + 1)}, f)
+
+
 def test_total_on_variable_and_homomorphism():
     x = parse_poly("x1", 1)
-    assert action.apply_total(x) == parse_poly("x1 + x1^2", 1)
+    assert psi_q(1, x) == parse_poly("x1 + x1^2", 1)
     rng = random.Random(5)
     for _ in range(15):
         f = rand_poly(rng, 2, 4)
         g = rand_poly(rng, 2, 4)
-        assert action.apply_total(f * g) == action.apply_total(f) * action.apply_total(g)
-        assert action.apply_total(f + g) == action.apply_total(f) + action.apply_total(g)
+        assert psi_q(1, f * g) == psi_q(1, f) * psi_q(1, g)
+        assert psi_q(1, f + g) == psi_q(1, f) + psi_q(1, g)
 
 
 def test_cartan_formula_sweep():
@@ -129,36 +133,12 @@ def test_apply_word_rightmost_first():
 
 def test_psi_q_specialization_and_multiplicativity():
     f = parse_poly("x1^2", 1)
-    assert action.apply_psi_q(Fraction(1), f) == action.apply_total(f)
-    assert action.apply_psi_q(0, f) == f
+    assert psi_q(0, f) == f
     q = Fraction(2)
-    assert action.apply_psi_q(q, f) == parse_poly("x1^2 + 4*x1^3 + 4*x1^4", 1)
+    assert psi_q(q, f) == parse_poly("x1^2 + 4*x1^3 + 4*x1^4", 1)
     rng = random.Random(31)
     for _ in range(20):
         a = rand_poly(rng, 2, 3)
         b = rand_poly(rng, 2, 3)
         q = Fraction(rng.randint(-3, 3), rng.choice([1, 3]))
-        assert action.apply_psi_q(q, a * b) == action.apply_psi_q(q, a) * action.apply_psi_q(q, b)
-
-
-def test_inverse_monomial_closed_form():
-    assert action.jq_on_inverse_monomial(0) == (1, -1)
-    assert action.jq_on_inverse_monomial(1) == (-1, 0)
-    assert action.jq_on_inverse_monomial(3) == (-1, 2)
-    assert action.jq_on_inverse_monomial(4) == (1, 3)
-
-
-def test_apply_jq_neg_round_trip():
-    # whenever defined, applying the piece to the scaled preimage returns the power
-    for m in range(2, 12):
-        for k in range(1, m):
-            try:
-                c = action.apply_jq_neg(k, m)
-            except UndefinedError:
-                from jqforge.scalar2 import binom
-                assert binom(m - k, k) == 0
-                continue
-            back = action.apply_jq(k, Polynomial(1, {(m - k,): c}))
-            assert back == Polynomial(1, {(m,): 1})
-    with pytest.raises(DomainError):
-        action.apply_jq_neg(0, 3)
+        assert psi_q(q, a * b) == psi_q(q, a) * psi_q(q, b)

@@ -51,6 +51,8 @@ BASE_CASES = [
     (["phi", "--op", "Jq2.Jq1 + Jq1.Jq2"], None),
     (["norm", "--which", "adem", "--op", "Jq3"], None),
     (["norm", "--which", "adem", "--op", "0"], None),
+    # a relation: zero on one variable, so inf like the zero element
+    (["norm", "--which", "adem", "--op", "3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1"], None),
     (["norm", "--which", "ker", "--op", "Jq2.Jq1 - Jq1.Jq2"], None),
     (["norm", "--which", "ker", "--op", "0"], None),
     (["norm", "--which", "estimate", "--op", "Jq2", "--nvars", "2", "--deg-bound", "6"], None),

@@ -18,9 +18,10 @@ from jqforge.hit import (
     module_adem_filtration,
 )
 from jqforge.linalg import Z2Lattice
-from jqforge.opalg import sq_on_f2
 from jqforge.poly import Polynomial, monomials_of_degree, monomials_upto, parse_poly
 from jqforge.scalar2 import INF, v2
+
+from f2_oracle import sq_on_f2
 
 
 F = Fraction

@@ -12,8 +12,11 @@ through `word_images`, `element_image` or `apply_element`, so that there
 is one path from words to polynomials.  A top-level `def _name` or
 `class _Name` must be referenced, as a name or an attribute, outside its
 own body in some module of the package; one that only tests reach is
-dead code.  The modules sit in layers, and a module imports only from the
-layers below its own, lazy imports inside functions included.
+dead code.  The same holds for a public top-level `def` or `class`, except
+that an import in `__init__` or a use in a demo also counts, and a short
+keep-list names the ones waiting for a command.  The modules sit in
+layers, and a module imports only from the layers below its own, lazy
+imports inside functions included.
 """
 
 import ast
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jqforge"
+DEMOS = PACKAGE.parent.parent / "demos"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -140,6 +144,62 @@ def test_the_check_sees_an_unreferenced_private_definition():
     assert unreferenced_private_definitions({"relations": relations, "cli": cli}) == [
         ("relations", "_pair_monomials")
     ]
+
+
+def unreferenced_public_definitions(sources, demos):
+    """(module, name) of each public top-level def or class nothing else refers to.
+
+    sources maps package module names to source text, demos maps demo
+    names to theirs.  A reference is a Name, an Attribute or an imported
+    name equal to the definition's name, outside the definition itself.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    others = [ast.parse(src) for src in demos.values()]
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            used = any(
+                id(n) not in inside
+                and (isinstance(n, ast.Name) and n.id == node.name
+                     or isinstance(n, ast.Attribute) and n.attr == node.name
+                     or isinstance(n, ast.alias) and n.name == node.name)
+                for t in [*trees.values(), *others]
+                for n in ast.walk(t)
+            )
+            if not used:
+                out.append((mod, node.name))
+    return sorted(out)
+
+
+# public definitions that only tests reach today, each with the caller it waits for
+KEEP_PUBLIC = {
+    ("relations", "fraction_add"): "the Ore localization, for an `ore` option on fractions",
+    ("hit", "classical_hit"): "the F_2 hit test, to check an n-variable `cohit` against",
+}
+
+
+def test_no_public_definition_without_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    demos = {p.stem: p.read_text(encoding="utf-8") for p in DEMOS.glob("*.py")}
+    assert unreferenced_public_definitions(sources, demos) == sorted(KEEP_PUBLIC)
+
+
+def test_the_check_sees_a_public_definition_without_a_caller():
+    opalg = (
+        "def counit(e):\n    return counit(e)\n"
+        "def chi(k):\n    return k\n"
+        "class Sode:\n    pass\n"
+        "def word_key(w):\n    return w\n"
+        "print(word_key)\n"
+    )
+    init = "from .opalg import chi\n"
+    demo = "from jqforge import opalg\nprint(opalg.Sode)\n"
+    assert unreferenced_public_definitions(
+        {"opalg": opalg, "__init__": init}, {"03_series": demo}
+    ) == [("opalg", "counit")]
 
 
 # lowest first; a module may import only from the layers before its own

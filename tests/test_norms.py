@@ -65,6 +65,22 @@ def test_adem_valuation_scalars_and_errors():
         adem_valuation(OpElement.jq(1) + OpElement.jq(2))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1",
+        "4*Jq4 - 3*Jq3.Jq1 - 2*Jq2.Jq2 + 2*Jq1.Jq3 - 2*Jq2.Jq1.Jq1 + 3*Jq1.Jq2.Jq1",
+    ],
+)
+def test_adem_valuation_of_a_relation_is_infinite(text):
+    # zero on every polynomial, so zero on one variable: no long-word witness
+    e = parse_op(text)
+    assert equal_by_evaluation(e, OpElement.zero())
+    rep = adem_valuation(e)
+    assert rep.value is INF and rep.norm == 0 and rep.witness is None
+    assert rep.bounds == {"mDegree": e.degree()}
+
+
 def test_ker_phi_membership():
     assert ker_phi_membership(OpElement.from_word((1, 1)))
     assert not ker_phi_membership(OpElement.jq(1))

@@ -4,14 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from jqforge import action
 from jqforge.action import apply_jq
-from jqforge.errors import (
-    DomainError,
-    NoSolutionError,
-    ParseError,
-    UnsupportedCoefficientsError,
-)
+from jqforge.errors import DomainError, NoSolutionError, ParseError
 from jqforge.opalg import OpElement, eval_element, parse_op
 from jqforge.poly import Polynomial, parse_poly
 from jqforge.scalar2 import binom
@@ -19,14 +13,12 @@ from jqforge.series import (
     Sode,
     TruncatedSeries,
     _coefficient_equations,
-    apply_conj_total,
     geometric_inverse,
     series_apply_op,
     sode_residual,
     sode_solve,
     tate_check,
 )
-from test_action import rand_poly
 
 
 F = Fraction
@@ -200,14 +192,6 @@ def test_exact_polynomial_candidate_verifies_through_order():
     assert report.ok and report.verified_through == 10
 
 
-def test_polynomial_coefficients_are_rejected():
-    eq = Sode({(1,): xi}, Polynomial.zero(1))
-    with pytest.raises(UnsupportedCoefficientsError):
-        sode_solve(eq, 1, 1, 6)
-    constant = Sode({(1,): 2, (): -1}, xi)
-    assert constant.element == 2 * OpElement.jq(1) - OpElement.one()
-
-
 def test_sode_validation():
     with pytest.raises(DomainError):
         Sode(OpElement.zero(), xi)
@@ -245,22 +229,6 @@ def test_geometric_inverse_validation():
         geometric_inverse(1, parse_poly("x1*x2", 2), 8)
     with pytest.raises(DomainError):
         geometric_inverse(1, parse_poly("x1^9", 1), 8)
-
-
-def test_apply_conj_total_inverts_total():
-    rng = random.Random(37)
-    for _ in range(10):
-        f = rand_poly(rng, 2, 3)
-        ser = apply_conj_total(f, 6)
-        h = Polynomial(2, ser.terms)
-        assert action.apply_total(h, max_deg=6) == Polynomial(
-            2, {e: c for e, c in f.terms.items() if sum(e) <= 6}
-        )
-
-
-def test_apply_conj_total_on_variable():
-    ser = apply_conj_total(parse_poly("x1", 1), 3)
-    assert ser.terms == {(1,): Fraction(1), (2,): Fraction(-1), (3,): Fraction(2)}
 
 
 def test_tate_verdicts():

@@ -75,15 +75,11 @@ def doubled(k, f):
 series.apply_jq = doubled
 x = parse_poly("x1", 1)
 out = {"debug": __debug__}
-for name, call in [
-    ("geometric", lambda: series.geometric_inverse(1, x, 6)),
-    ("total", lambda: series.apply_conj_total(x, 3)),
-]:
-    try:
-        call()
-        out[name] = "returned"
-    except VerificationError as exc:
-        out[name] = "VerificationError: " + str(exc)
+try:
+    series.geometric_inverse(1, x, 6)
+    out["geometric"] = "returned"
+except VerificationError as exc:
+    out["geometric"] = "VerificationError: " + str(exc)
 out["exit"] = cli.main(["geom", "--k", "1", "--poly", "x1", "--order", "6"])
 print(json.dumps(out))
 """
@@ -93,8 +89,5 @@ def test_wrong_series_step_is_caught_under_optimize():
     out, stderr = run_optimized(SERIES_SCRIPT)
     assert out["debug"] is False
     assert out["geometric"] == "VerificationError: geometric inverse of Jq1 fails its residual check"
-    assert out["total"] == (
-        "VerificationError: inverse of the total operation fails its residual check"
-    )
     assert out["exit"] == 5
     assert stderr == "error: geometric inverse of Jq1 fails its residual check\n"
