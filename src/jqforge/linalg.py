@@ -7,9 +7,10 @@ with it every pivot choice, is that of elimination over Fractions;
 Fractions are built only for what is returned.
 
 Rows are dicts keyed by orderable column ids, and each stored row has
-its combination over the tags of the original rows.  `_scale_sub` is
-the one row operation of `SparseEchelon`, applied alike to rows and
-combinations.
+its combination over the tags of the original rows.  `_step`, row <-
+u*row - a*other with u and a in lowest terms, is the row operation of
+both cores: `SparseEchelon` applies it alike to rows and combinations
+(`_scale_sub`), `Z2Lattice` to rows alone, logging it (`_eliminate`).
 
 Over Q: `SparseEchelon`, incremental, pivoting on the least column.  It
 is the one rational core: `nullspace` of sparse columns, `solve_affine`
@@ -52,12 +53,10 @@ def _nonzero(row):
     return {k: Fraction(v) for k, v in row.items() if v != 0}
 
 
-def _scale_sub(row, combo, u, a, brow, bcombo):
-    """row <- u*row - a*brow, alike on the combinations, in place.
+def _step(row, u, a, brow):
+    """row <- u*row - a*brow in place; returns the (u, a) applied.
 
-    u and a are first divided by their gcd, and u made positive.  A row
-    left nonzero is then divided, with its combination, by their common
-    content.
+    u and a are first divided by their gcd, and u made positive.
     """
     g = gcd(u, a)
     u, a = u // g, a // g
@@ -66,9 +65,20 @@ def _scale_sub(row, combo, u, a, brow, bcombo):
     if u != 1:
         for k in row:
             row[k] *= u
+    _sub(row, a, brow)
+    return u, a
+
+
+def _scale_sub(row, combo, u, a, brow, bcombo):
+    """row <- u*row - a*brow by `_step`, alike on the combinations, in place.
+
+    A row left nonzero is then divided, with its combination, by their
+    common content.
+    """
+    u, a = _step(row, u, a, brow)
+    if u != 1:
         for k in combo:
             combo[k] *= u
-    _sub(row, a, brow)
     _sub(combo, a, bcombo)
     if not row:
         return
@@ -217,18 +227,11 @@ def _pivot_key(row):
 def _eliminate(row, u, a, brow, log, j):
     """row <- (u*row - a*brow)/g in place, g the odd part of the result's content.
 
-    u and a are first divided by their gcd, and u made positive.  A row
-    left nonzero logs (u, a, j, g), j the index of brow among the pivots,
-    and gets its new pivot key back; a zero row gets None.
+    A row left nonzero logs (u, a, j, g), with the (u, a) that `_step`
+    applied and j the index of brow among the pivots, and gets its new
+    pivot key back; a zero row gets None.
     """
-    g = gcd(u, a)
-    u, a = u // g, a // g
-    if u < 0:
-        u, a = -u, -a
-    if u != 1:
-        for k in row:
-            row[k] *= u
-    _sub(row, a, brow)
+    u, a = _step(row, u, a, brow)
     if not row:
         return None
     g = gcd(*row.values())

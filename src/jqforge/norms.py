@@ -3,9 +3,10 @@
 Three inequivalent gauges, each with its own report: the word-length
 valuation (membership in powers of the positive-degree ideal, solved
 degree by degree on the exact single-variable system), the kernel
-filtration of the mod-2 reduction, and a monomial-scan estimate of the
-transformation norm.  Reports carry the bounds they were computed under
-and, when available, a witness that re-verifies the value.
+filtration of the mod-2 reduction (in Witt coordinates, so a gauge of
+the operator rather than of its spelling), and a monomial-scan estimate
+of the transformation norm.  Reports carry the bounds they were computed
+under and, when available, a witness that re-verifies the value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .action import element_image
 from .errors import DomainError
-from . import linalg
+from . import linalg, witt
 from .opalg import (
     OpElement,
     admissible_form,
@@ -113,17 +114,21 @@ def _kernel_lattice_generators(b: int):
 
 
 def _reduce_generators(gens):
-    lattice = linalg.Z2Lattice((i, g.terms) for i, g in enumerate(gens))
-    return [OpElement(dict(brow)) for _, brow, _ in lattice.basis]
+    """A basis of the Z_(2) lattice that the coordinate vectors gens span."""
+    return [brow for _, brow, _ in linalg.Z2Lattice(enumerate(gens)).basis]
 
 
 def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> ValuationReport:
     """Largest j <= max_j with e in the j-th power of the reduction kernel.
 
-    Powers of the kernel are built recursively per degree from the
-    homogeneous kernel generators (the scalar 2 included), with the
-    generating sets reduced by 2-adic elimination at every stage.  Zero
-    lies in every power: its valuation is INF, as in the other gauges.
+    Works in the algebra, on Witt coordinates (`witt`), so two spellings
+    of one operator get one value.  The homogeneous kernel generators
+    (the scalar 2 included) are taken to coordinates and reduced by
+    2-adic elimination once per degree; powers of the kernel are then
+    built recursively per degree from their products, reduced again at
+    every stage, and e is tested against them.  Zero lies in every
+    power: an element that is zero in the algebra gets INF, as in the
+    other gauges.
     """
     if not e.terms:
         return ValuationReport(INF, "kerAdicLattice", {"maxJ": max_j})
@@ -138,9 +143,16 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
         v = min(v2(c) for c in e.terms.values())
         return ValuationReport(min(v, max_j), "kerAdicLattice", {"maxJ": max_j})
 
-    kernel = {b: _kernel_lattice_generators(b) for b in range(0, d + 1)}
-    # L[b] holds generators of the j-th kernel power in degree b
-    level = {b: list(kernel[b]) for b in range(0, d + 1)}
+    (target,) = witt.element_coordinates([e.terms])
+    if not target:
+        return ValuationReport(INF, "kerAdicLattice", {"maxJ": max_j})
+
+    kernel = {}
+    for b in range(0, d + 1):
+        gens = _kernel_lattice_generators(b)
+        kernel[b] = _reduce_generators(witt.element_coordinates([g.terms for g in gens]))
+    # level[b] holds generators of the j-th kernel power in degree b
+    level = kernel
     value = 0
     for j in range(1, max_j + 1):
         if j > 1:
@@ -150,14 +162,12 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
                 for split in range(0, b + 1):
                     for left in level[b - split]:
                         for right in kernel[split]:
-                            prods.append(left * right)
+                            prods.append(witt.multiply(left, right))
                 nxt[b] = _reduce_generators(prods)
             level = nxt
-        lattice = linalg.Z2Lattice((i, g.terms) for i, g in enumerate(level[d]))
-        if lattice.contains(e.terms) is not None:
-            value = j
-        else:
+        if linalg.Z2Lattice(enumerate(level[d])).contains(target) is None:
             break
+        value = j
     return ValuationReport(value, "kerAdicLattice", {"maxJ": max_j, "degreeBound": degree_bound})
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .action import apply_element, element_image
 from .errors import DomainError, NotInZ2Error, ParseError
-from .poly import Polynomial, monomials_upto, split_signed_terms
+from .poly import Polynomial, monomials_of_degree, monomials_upto, split_signed_terms
 from .scalar2 import binom, format_scalar, in_z2, mod2_reduce, parse_scalar, scale_to_ints
 
 _WORD_RE = re.compile(r"^Jq(\d+)$")
@@ -29,30 +29,15 @@ def compositions(d: int, length=None):
     """Yield compositions of d, optionally restricted to a fixed length.
 
     A composition is an ordered tuple of positive integers summing to d.
-    d = 0 yields only the empty tuple (and only when length is 0 or None).
+    Those of length r are the exponent tuples of degree d - r in r
+    variables, each entry plus 1, in that order; lengths ascend.  d = 0
+    yields only the empty tuple (and only when length is 0 or None).
     """
     if d < 0:
         raise DomainError("cannot compose a negative integer")
-    if d == 0:
-        if length in (None, 0):
-            yield ()
-        return
-    if length == 0:
-        return
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            if length is None or len(acc) == length:
-                yield tuple(acc)
-            return
-        if length is not None and len(acc) >= length:
-            return
-        for part in range(1, remaining + 1):
-            acc.append(part)
-            yield from rec(remaining - part, acc)
-            acc.pop()
-
-    yield from rec(d, [])
+    for r in range(d + 1) if length is None else (length,):
+        for exps in monomials_of_degree(r, d - r):
+            yield tuple(e + 1 for e in exps)
 
 
 def word_key(w):
@@ -126,14 +111,6 @@ class OpElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative powers are not elements of the algebra")
-        out = OpElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, OpElement):
             return self.terms == other.terms
@@ -153,9 +130,6 @@ class OpElement:
 
     def is_homogeneous(self) -> bool:
         return len({sum(w) for w in self.terms}) <= 1
-
-    def coefficient(self, w) -> Fraction:
-        return self.terms.get(tuple(w), Fraction(0))
 
 
 # -- text form --------------------------------------------------------

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalar2 import format_scalar, parse_scalar, valuation_and_abs
+from .scalar2 import format_scalar, parse_scalar
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -53,14 +53,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c, arity: int) -> "Polynomial":
         return cls(arity, {(0,) * arity: Fraction(c)})
-
-    @classmethod
-    def variable(cls, i: int, arity: int) -> "Polynomial":
-        """The variable x_i, 1-indexed."""
-        if not 1 <= i <= arity:
-            raise DomainError(f"variable index {i} out of range for arity {arity}")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(arity))
-        return cls(arity, {exps: Fraction(1)})
 
     @classmethod
     def monomial(cls, exps, coeff=1) -> "Polynomial":
@@ -133,26 +125,9 @@ class Polynomial:
     def graded_part(self, d: int) -> "Polynomial":
         return Polynomial(self.arity, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def graded_parts(self):
-        """Yield (d, part) for each degree with a nonzero part, ascending."""
-        by_deg = {}
-        for e, c in self.terms.items():
-            by_deg.setdefault(sum(e), {})[e] = c
-        for d in sorted(by_deg):
-            yield d, Polynomial(self.arity, by_deg[d])
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def gauss_norm(self) -> Fraction:
-        """Largest 2-adic absolute value among the coefficients; 0 for zero."""
-        best = Fraction(0)
-        for c in self.terms.values():
-            _, a = valuation_and_abs(c)
-            if a > best:
-                best = a
-        return best
 
 
 def _term_sort_key(exps):
@@ -284,5 +259,5 @@ def monomials_of_degree(arity: int, d: int):
     if arity == 0:
         if d == 0:
             yield ()
-    elif d >= 0:
+    elif arity > 0 and d >= 0:
         yield from rec(0, d, [])

@@ -32,7 +32,6 @@ caller's number of variables.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .action import word_images
@@ -91,12 +90,6 @@ class RelationBasis:
     def __init__(self, degree, words, basis, bounds=None):
         self.degree, self.words, self.basis = degree, words, basis
         self.bounds = {} if bounds is None else bounds
-
-    def elements(self):
-        return [
-            OpElement({w: Fraction(c) for w, c in zip(self.words, vec) if c != 0})
-            for vec in self.basis
-        ]
 
     def json_obj(self):
         return {
@@ -170,7 +163,6 @@ def in_relation_span(basis: RelationBasis, vec) -> bool:
     return ech.membership({j: Fraction(c) for j, c in enumerate(vec)}) is not None
 
 
-@functools.lru_cache(maxsize=None)
 def q12_decompose(k: int) -> OpElement:
     """Express the degree-k generator through words with factors 1 and 2 only.
 

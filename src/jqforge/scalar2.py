@@ -1,10 +1,9 @@
 """Rational scalars through a 2-adic lens.
 
 Scalars are plain fractions.Fraction values.  This module supplies the
-2-adic valuation (the exact sentinel INF for zero) and absolute value,
-the ring-of-integers test (odd denominator), reduction mod 2, binomial
-coefficients, and the rational parse/format pair used by every grammar
-in the package.
+2-adic valuation (the exact sentinel INF for zero), the ring-of-integers
+test (odd denominator), reduction mod 2, binomial coefficients, and the
+rational parse/format pair used by every grammar in the package.
 """
 
 from __future__ import annotations
@@ -57,16 +56,6 @@ def v2(r):
     if r == 0:
         return INF
     return v2_int(r.numerator) - v2_int(r.denominator)
-
-
-def valuation_and_abs(r) -> tuple:
-    """Return (v, |r|_2).  Zero maps to (INF, Fraction(0))."""
-    v = v2(r)
-    if v is INF:
-        return INF, Fraction(0)
-    if v >= 0:
-        return v, Fraction(1, 1 << v)
-    return v, Fraction(1 << (-v))
 
 
 def in_z2(r) -> bool:

@@ -29,9 +29,7 @@ class TruncatedSeries:
     Uncentered series store monomial terms in any arity; a centered
     series has one variable and stores coefficients of (x - center)^n.
     Terms are cleaned as a Polynomial's are (nonnegative exponents, zeros
-    dropped) and those beyond the order are dropped; sums and products
-    are Polynomial arithmetic on the stored terms, truncated at the lower
-    order.
+    dropped) and those beyond the order are dropped.
     """
 
     __slots__ = ("arity", "order", "center", "terms")
@@ -70,30 +68,6 @@ class TruncatedSeries:
 
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def _combine(self, other, op):
-        """op on the stored terms as polynomials, truncated at the lower order."""
-        if self.arity != other.arity or self.center != other.center:
-            raise DomainError("series mismatch in arity or center")
-        p = op(Polynomial(self.arity, self.terms), Polynomial(other.arity, other.terms))
-        return TruncatedSeries(self.arity, min(self.order, other.order), p.terms, self.center)
-
-    def __add__(self, other):
-        return self._combine(other, Polynomial.__add__)
-
-    def __sub__(self, other):
-        return self._combine(other, Polynomial.__sub__)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            terms = (Polynomial(self.arity, self.terms) * other).terms
-            return TruncatedSeries(self.arity, self.order, terms, self.center)
-        return self._combine(other, Polynomial.__mul__)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -149,8 +123,8 @@ class TruncatedSeries:
                 raise ParseError(f"series 'center' must be a string or null, not {center!r}")
             center = parse_scalar(center)
         arity = obj.get("arity")
-        if arity is not None and not _is_count(arity):
-            raise ParseError(f"series 'arity' must be a nonnegative integer, not {arity!r}")
+        if arity is not None and not (_is_count(arity) and arity > 0):
+            raise ParseError(f"series 'arity' must be a positive integer, not {arity!r}")
         terms = {}
         for key, val in raw.items():
             parts = key.split(",")
@@ -161,6 +135,8 @@ class TruncatedSeries:
             exps = tuple(map(int, parts))
             if arity is None:
                 arity = len(exps)
+            elif len(exps) != arity:
+                raise ParseError(f"series exponent key {key!r} does not match arity {arity}")
             terms[exps] = parse_scalar(val)
         return cls(arity or 1, order, terms, center)
 
@@ -381,9 +357,8 @@ def sode_residual(eq: Sode, candidate: TruncatedSeries, order: int) -> ResidualR
     bound = min(order, trust)
     img = series_apply_op(e, candidate)
     rhs_series = TruncatedSeries.from_polynomial(eq.rhs, bound, candidate.center)
-    diff = TruncatedSeries(1, bound, img.terms, candidate.center) - rhs_series
     for m in range(bound + 1):
-        c = diff.coefficient((m,))
+        c = img.coefficient((m,)) - rhs_series.coefficient((m,))
         if c:
             return ResidualReport(m - 1, m, c)
     return ResidualReport(bound)

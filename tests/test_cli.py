@@ -223,6 +223,9 @@ def test_tate_from_stdin(capsys, monkeypatch):
         '{"order":3,"terms":{"0":5}}',
         '{"order":3,"terms":{},"center":5}',
         '{"order":3,"terms":{},"arity":"2"}',
+        '{"order":3,"terms":{"1":"1","1,2":"1"}}',
+        '{"order":3,"arity":2,"terms":{"1":"1"}}',
+        '{"order":3,"arity":0,"terms":{"1":"1"}}',
     ],
 )
 def test_tate_malformed_series_is_a_parse_error(capsys, monkeypatch, text):

@@ -55,6 +55,8 @@ BASE_CASES = [
     (["norm", "--which", "adem", "--op", "3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1"], None),
     (["norm", "--which", "ker", "--op", "Jq2.Jq1 - Jq1.Jq2"], None),
     (["norm", "--which", "ker", "--op", "0"], None),
+    # j = 2: the only case that reaches the kernel-power loop past its first step
+    (["norm", "--which", "ker", "--op", "Jq1.Jq1.Jq1.Jq1"], None),
     (["norm", "--which", "estimate", "--op", "Jq2", "--nvars", "2", "--deg-bound", "6"], None),
     (["norm", "--which", "estimate", "--op", "0"], None),
     (["norm", "--which", "degree", "--op", "Jq3"], None),

@@ -1,5 +1,6 @@
-"""Every import in the package is used where it is made, and every private
-module-level function or class is used somewhere in it.
+"""Every import in the package is used where it is made, and every
+module-level function or class, and every public class member, has a
+caller.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree: a name bound by a top-level `import` or `from ... import` must
@@ -14,9 +15,12 @@ is one path from words to polynomials.  A top-level `def _name` or
 own body in some module of the package; one that only tests reach is
 dead code.  The same holds for a public top-level `def` or `class`, except
 that an import in `__init__` or a use in a demo also counts, and a short
-keep-list names the ones waiting for a command.  The modules sit in
-layers, and a module imports only from the layers below its own, lazy
-imports inside functions included.
+keep-list names the ones waiting for a command.  A public method,
+classmethod or property of a top-level class must be used as an
+attribute of that name, outside its own body, in the package or a demo;
+there is no keep-list for members.  The modules sit in layers, and a
+module imports only from the layers below its own, lazy imports inside
+functions included.
 """
 
 import ast
@@ -200,6 +204,63 @@ def test_the_check_sees_a_public_definition_without_a_caller():
     assert unreferenced_public_definitions(
         {"opalg": opalg, "__init__": init}, {"03_series": demo}
     ) == [("opalg", "counit")]
+
+
+def unreferenced_public_members(sources, demos):
+    """(module, "Class.name") of each public member of a top-level class nothing uses.
+
+    A member is a method, classmethod or property defined in the class
+    body.  sources maps package module names to source text, demos maps
+    demo names to theirs.  A use is an Attribute with the member's name,
+    outside the member itself, anywhere in the package or the demos.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    others = [ast.parse(src) for src in demos.values()]
+    out = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                inside = {id(n) for n in ast.walk(node)}
+                used = any(
+                    id(n) not in inside and isinstance(n, ast.Attribute) and n.attr == node.name
+                    for t in [*trees.values(), *others]
+                    for n in ast.walk(t)
+                )
+                if not used:
+                    out.append((mod, f"{cls.name}.{node.name}"))
+    return sorted(out)
+
+
+def test_no_public_member_without_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    demos = {p.stem: p.read_text(encoding="utf-8") for p in DEMOS.glob("*.py")}
+    assert unreferenced_public_members(sources, demos) == []
+
+
+def test_the_check_sees_a_public_member_without_a_caller():
+    # graded_parts calls itself only; degree is read in the demo, norm in
+    # another method, zero from another module; __neg__ and _helper are not public
+    poly = (
+        "class Polynomial:\n"
+        "    def graded_parts(self):\n        return self.graded_parts()\n"
+        "    def degree(self):\n        return 1\n"
+        "    @property\n    def norm(self):\n        return 0\n"
+        "    @classmethod\n    def zero(cls):\n        return cls()\n"
+        "    @classmethod\n    def variable(cls, i):\n        return cls()\n"
+        "    def __neg__(self):\n        return self\n"
+        "    def _helper(self):\n        return self.norm\n"
+        "def variable(i):\n    return i\n"
+        "print(variable(1))\n"
+    )
+    series = "from .poly import Polynomial\nprint(Polynomial.zero())\n"
+    demo = "from jqforge.poly import Polynomial\nprint(Polynomial().degree())\n"
+    assert unreferenced_public_members(
+        {"poly": poly, "series": series}, {"01_action": demo}
+    ) == [("poly", "Polynomial.graded_parts"), ("poly", "Polynomial.variable")]
 
 
 # lowest first; a module may import only from the layers before its own

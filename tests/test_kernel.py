@@ -51,7 +51,11 @@ def word_lists(draw):
 
 
 # elements vanishing on one-variable powers: their images cancel there, and partly elsewhere
-RELATIONS = [e.terms for k in (3, 4) for e in adem_nullspace(k).elements()]
+RELATIONS = [
+    {w: Fraction(c) for w, c in zip(rb.words, vec) if c}
+    for rb in (adem_nullspace(3), adem_nullspace(4))
+    for vec in rb.basis
+]
 
 
 @st.composite
@@ -70,7 +74,7 @@ def _total_image(mu):
     n = len(mu)
     total = Polynomial.constant(1, n)
     for i, e in enumerate(mu):
-        x = Polynomial.variable(i + 1, n)
+        x = Polynomial.monomial(tuple(int(j == i) for j in range(n)))
         for _ in range(e):
             total = total * (x + x * x)
     return total

@@ -65,13 +65,14 @@ def test_adem_valuation_scalars_and_errors():
         adem_valuation(OpElement.jq(1) + OpElement.jq(2))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1",
-        "4*Jq4 - 3*Jq3.Jq1 - 2*Jq2.Jq2 + 2*Jq1.Jq3 - 2*Jq2.Jq1.Jq1 + 3*Jq1.Jq2.Jq1",
-    ],
-)
+# relations of degree 3 and 4: each acts as zero on every polynomial
+RELATIONS = [
+    "3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1",
+    "4*Jq4 - 3*Jq3.Jq1 - 2*Jq2.Jq2 + 2*Jq1.Jq3 - 2*Jq2.Jq1.Jq1 + 3*Jq1.Jq2.Jq1",
+]
+
+
+@pytest.mark.parametrize("text", RELATIONS)
 def test_adem_valuation_of_a_relation_is_infinite(text):
     # zero on every polynomial, so zero on one variable: no long-word witness
     e = parse_op(text)
@@ -103,6 +104,27 @@ def test_ker_adic_scalars():
 def test_ker_adic_squares_of_jq1():
     assert ker_adic_valuation(OpElement.from_word((1, 1))).value == 1
     assert ker_adic_valuation(OpElement.from_word((1, 1, 1, 1))).value == 2
+
+
+def test_ker_adic_valuation_is_one_value_per_operator():
+    # Jq1^4, spelled alone and plus the degree-4 relation
+    for text in ("Jq1.Jq1.Jq1.Jq1", f"Jq1.Jq1.Jq1.Jq1 + {RELATIONS[1]}"):
+        assert ker_adic_valuation(parse_op(text)).value == 2
+
+
+@pytest.mark.parametrize("text", RELATIONS)
+def test_ker_adic_valuation_of_a_relation_is_infinite(text):
+    e = parse_op(text)
+    assert equal_by_evaluation(e, OpElement.zero())
+    rep = ker_adic_valuation(e, max_j=5)
+    assert rep.value is INF and rep.norm == 0 and rep.bounds == {"maxJ": 5}
+
+
+def test_ker_adic_valuation_reads_the_operator_not_its_words():
+    # as written, no Z_2 combination of products of two kernel generators;
+    # as an operator, equal to one
+    e = parse_op("6/5*Jq3.Jq2.Jq1 - Jq3.Jq1.Jq2 - 1/5*Jq1.Jq2.Jq1.Jq2")
+    assert ker_adic_valuation(e).value == 2
 
 
 def test_ker_adic_outside_kernel():

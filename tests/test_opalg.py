@@ -180,7 +180,9 @@ def test_nilpotency_degree():
 def test_compositions():
     assert set(opalg.compositions(3)) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
     assert list(opalg.compositions(0)) == [()]
-    assert set(opalg.compositions(4, length=2)) == {(3, 1), (2, 2), (1, 3)}
+    # one length comes in lexicographic order; no composition has a length out of range
+    assert list(opalg.compositions(4, length=2)) == [(1, 3), (2, 2), (3, 1)]
+    assert list(opalg.compositions(3, length=-1)) == list(opalg.compositions(3, length=4)) == []
     for d in range(1, 9):
         assert len(list(opalg.compositions(d))) == 2 ** (d - 1)
 

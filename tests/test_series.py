@@ -67,16 +67,6 @@ def test_recenter_expansion_round_trip():
             assert s.to_polynomial() == f
 
 
-def test_series_arithmetic_takes_min_order():
-    a = TruncatedSeries(1, 6, {(1,): F(1)})
-    b = TruncatedSeries(1, 4, {(2,): F(3)})
-    assert (a + b).order == 4
-    assert (a * b).terms == {(3,): F(3)}
-    assert (2 * a).terms == {(1,): F(2)}
-    with pytest.raises(DomainError):
-        a + TruncatedSeries(1, 6, {(1,): F(1)}, 1)
-
-
 def test_apply_matches_polynomial_evaluation():
     rng = random.Random(9)
     for _ in range(8):
