@@ -37,7 +37,7 @@ from .relations import (
 from .series import (
     Sode,
     TruncatedSeries,
-    _coefficient_equations,
+    coefficient_equations,
     geometric_inverse,
     sode_residual,
     tate_check,
@@ -269,7 +269,7 @@ def check_power_family_hit_certificates():
 
 def check_recursion_extraction():
     eq = Sode(OpElement.jq(1) - OpElement.one(), Polynomial.zero(1))
-    rows, _ = _coefficient_equations(eq, 1, 8)
+    rows, _ = coefficient_equations(eq, 1, 8)
     for m, row in enumerate(rows):
         got = {n: c for n, c in enumerate(row) if c}
         want = {}

@@ -23,7 +23,7 @@ from .opalg import (
     phi_reduce,
 )
 from .poly import monomials_upto
-from .relations import _grid_vectors, words_of_degree
+from .relations import grid_vectors, words_of_degree
 from .scalar2 import INF, in_z2, v2
 
 
@@ -77,7 +77,7 @@ def adem_valuation(e: OpElement) -> ValuationReport:
     if any(len(w) == 0 for w in e.terms):
         raise DomainError("mixed identity term; split the element first")
     words = words_of_degree(d)
-    *vecs, target = _grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
+    *vecs, target = grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
     if not target:
         return ValuationReport(INF, "ademWordLength", {"mDegree": d})
     for j in range(d, 0, -1):

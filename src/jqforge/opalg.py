@@ -4,7 +4,8 @@ A word is a tuple of positive integers naming a composite of graded
 operations; the empty word is the identity.  The tuple (2, 1) means the
 degree-1 piece acts first and the degree-2 piece second, consistent with
 how apply_word composes.  Elements are finite rational combinations of
-words with the concatenation product.
+words with the concatenation product, held in the term container
+``poly.Terms`` that polynomials use too.
 
 The module also carries their text form, the conjugation chi(Jq^k), the
 mod-2 reduction onto admissible classical words, and equality decided by
@@ -19,7 +20,14 @@ from fractions import Fraction
 
 from .action import apply_element, element_image
 from .errors import DomainError, NotInZ2Error, ParseError
-from .poly import Polynomial, monomials_of_degree, monomials_upto, split_signed_terms
+from .poly import (
+    Polynomial,
+    Terms,
+    add_term,
+    monomials_of_degree,
+    monomials_upto,
+    split_signed_terms,
+)
 from .scalar2 import binom, format_scalar, in_z2, mod2_reduce, parse_scalar, scale_to_ints
 
 _WORD_RE = re.compile(r"^Jq(\d+)$")
@@ -45,24 +53,22 @@ def word_key(w):
     return (sum(w), len(w), tuple(-x for x in w))
 
 
-class OpElement:
-    __slots__ = ("terms",)
+class OpElement(Terms):
+    """A rational combination of words; keys are words, products concatenate."""
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            w = tuple(w)
-            if any(k <= 0 for k in w):
-                raise DomainError(f"word entries must be positive, got {w}")
-            c = Fraction(c)
-            if c != 0:
-                clean[w] = clean.get(w, Fraction(0)) + c
-                if clean[w] == 0:
-                    del clean[w]
-        object.__setattr__(self, "terms", clean)
+        # its own method, so that bench/tracer.py can count elements built
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OpElement is immutable")
+    def _check_key(self, w):
+        if any(k <= 0 for k in w):
+            raise DomainError(f"word entries must be positive, got {w}")
+
+    @staticmethod
+    def _mul_keys(w1, w2):
+        return w1 + w2
 
     @classmethod
     def zero(cls) -> "OpElement":
@@ -82,54 +88,8 @@ class OpElement:
     def from_word(cls, w, coeff=1) -> "OpElement":
         return cls({tuple(w): Fraction(coeff)})
 
-    def __add__(self, other):
-        if not isinstance(other, OpElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return OpElement(terms)
-
-    def __neg__(self):
-        return OpElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, OpElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, OpElement):
-            terms = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    key = w1 + w2
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return OpElement(terms)
-        c = Fraction(other)
-        return OpElement({w: c * v for w, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, OpElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __repr__(self):
         return f"OpElement({format_op(self)!r})"
-
-    def degree(self) -> int:
-        """Largest word degree; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(sum(w) for w in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(w) for w in self.terms}) <= 1
 
 
 # -- text form --------------------------------------------------------
@@ -162,9 +122,7 @@ def parse_op(text: str) -> OpElement:
     s = text.strip()
     if not s:
         raise ParseError("empty operator expression")
-    if s == "0":
-        return OpElement.zero()
-    total = OpElement.zero()
+    terms = {}
     for sgn, chunk in split_signed_terms(s):
         coeff = Fraction(sgn)
         word = []
@@ -188,8 +146,8 @@ def parse_op(text: str) -> OpElement:
                     coeff *= parse_scalar(factor)
                 except ParseError:
                     raise ParseError(f"bad factor {factor!r} in {text!r}") from None
-        total = total + OpElement.from_word(tuple(word), coeff)
-    return total
+        add_term(terms, tuple(word), coeff)
+    return OpElement(terms)
 
 
 # -- conjugation ------------------------------------------------------

@@ -1,8 +1,11 @@
 """Sparse polynomials with rational coefficients in a fixed set of variables.
 
-A Polynomial holds an arity n and a dict mapping exponent tuples of length n
-to nonzero Fraction coefficients.  Instances are treated as immutable: every
-operation builds a new one and nothing here mutates terms after construction.
+``Terms`` is the one container under both ``Polynomial`` and
+``opalg.OpElement``: a dict mapping tuple keys to nonzero Fraction
+coefficients, with its normalisation, addition, products and equality.
+A Polynomial adds an arity n, and its keys are exponent tuples of length
+n.  Instances are treated as immutable: every operation builds a new one
+and nothing here mutates terms after construction.
 
 The text grammar accepts forms like ``3*x1^2*x2 - 1/3*x2^4``; a bare rational
 is a constant term.  Display uses graded order, ties broken by descending
@@ -20,114 +23,145 @@ from .scalar2 import format_scalar, parse_scalar
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-class Polynomial:
-    __slots__ = ("arity", "terms")
+def add_term(terms: dict, key, c) -> None:
+    """Add c at key in place; a key whose coefficient cancels is deleted.
+
+    A key keeps its place while its coefficient stays nonzero, so the
+    order of terms is that of adding one term at a time.
+    """
+    old = terms.get(key)
+    if old is not None:
+        c += old
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
+
+class Terms:
+    """A finite combination of tuple keys with nonzero Fraction coefficients.
+
+    The constructor makes each key a tuple, checks it by the subclass's key
+    rule ``_check_key`` and merges the terms with add_term.  A subclass also
+    gives the product of two keys (``_mul_keys``).  ``+`` and ``-`` take a
+    value of the same kind only; ``*`` also takes a scalar.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            key = tuple(key)
+            self._check_key(key)
+            add_term(clean, key, Fraction(c))
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _space(self):
+        """The space a value lives in; values in two spaces are never equal."""
+        return None
+
+    def _like(self, terms):
+        """A value of this kind in self's space with the given terms."""
+        return type(self)(terms)
+
+    def _operand(self, other) -> bool:
+        """Whether other is a value of this kind, which + and * combine with self."""
+        return type(other) is type(self)
+
+    def __add__(self, other):
+        if not self._operand(other):
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(terms, key, c)
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not self._operand(other):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self._operand(other):
+            c = Fraction(other)
+            return self._like({key: c * v for key, v in self.terms.items()})
+        # every pair is summed before zeros drop, so a key that cancels
+        # midway keeps its first place
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = self._mul_keys(k1, k2)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return self._like(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def degree(self) -> int:
+        """Largest total degree of a key; -1 for the zero value."""
+        if not self.terms:
+            return -1
+        return max(sum(key) for key in self.terms)
+
+    def is_homogeneous(self) -> bool:
+        return len({sum(key) for key in self.terms}) <= 1
+
+
+class Polynomial(Terms):
+    """A polynomial in ``arity`` variables; keys are exponent tuples."""
+
+    __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms=None):
         if arity < 0:
             raise DomainError("arity must be nonnegative")
-        clean = {}
-        for exps, c in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != arity:
-                raise DomainError(f"exponent tuple {exps} does not match arity {arity}")
-            if any(e < 0 for e in exps):
-                raise DomainError(f"negative exponent in {exps}")
-            c = Fraction(c)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def _check_key(self, exps):
+        if len(exps) != self.arity:
+            raise DomainError(f"exponent tuple {exps} does not match arity {self.arity}")
+        if any(e < 0 for e in exps):
+            raise DomainError(f"negative exponent in {exps}")
 
-    # -- constructors -------------------------------------------------
+    @staticmethod
+    def _mul_keys(e1, e2):
+        return tuple(a + b for a, b in zip(e1, e2))
+
+    def _space(self):
+        return self.arity
+
+    def _like(self, terms):
+        return Polynomial(self.arity, terms)
+
+    def _operand(self, other) -> bool:
+        if type(other) is Polynomial and other.arity != self.arity:
+            raise DomainError(f"arity mismatch: {self.arity} vs {other.arity}")
+        return super()._operand(other)
 
     @classmethod
     def zero(cls, arity: int) -> "Polynomial":
         return cls(arity, {})
 
-    @classmethod
-    def constant(cls, c, arity: int) -> "Polynomial":
-        return cls(arity, {(0,) * arity: Fraction(c)})
-
-    @classmethod
-    def monomial(cls, exps, coeff=1) -> "Polynomial":
-        exps = tuple(exps)
-        return cls(len(exps), {exps: Fraction(coeff)})
-
-    # -- ring operations ----------------------------------------------
-
-    def _check_arity(self, other: "Polynomial"):
-        if self.arity != other.arity:
-            raise DomainError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_arity(other)
-            terms = dict(self.terms)
-            for exps, c in other.terms.items():
-                terms[exps] = terms.get(exps, Fraction(0)) + c
-            return Polynomial(self.arity, terms)
-        return self + Polynomial.constant(other, self.arity)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            return self + (-other)
-        return self + Polynomial.constant(-Fraction(other), self.arity)
-
-    def __rsub__(self, other):
-        return Polynomial.constant(other, self.arity) - self
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_arity(other)
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return Polynomial(self.arity, terms)
-        c = Fraction(other)
-        return Polynomial(self.arity, {e: c * v for e, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.arity == other.arity and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other, self.arity)
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __repr__(self):
         return f"Polynomial({self.arity}, {format_poly(self)!r})"
 
-    # -- structure ----------------------------------------------------
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def graded_part(self, d: int) -> "Polynomial":
         return Polynomial(self.arity, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
 
 def _term_sort_key(exps):
@@ -206,8 +240,9 @@ def parse_poly(text: str, arity: int) -> Polynomial:
     if not s:
         raise ParseError("empty polynomial expression")
     chunks = split_signed_terms(s)
-
-    total = Polynomial.zero(arity)
+    if arity < 0:
+        raise DomainError("arity must be nonnegative")
+    terms = {}
     for sgn, chunk in chunks:
         coeff = Fraction(sgn)
         exps = [0] * arity
@@ -225,10 +260,8 @@ def parse_poly(text: str, arity: int) -> Polynomial:
                     coeff *= parse_scalar(factor)
                 except ParseError:
                     raise ParseError(f"bad factor {factor!r} in {text!r}") from None
-        total = total + Polynomial.monomial(tuple(exps), coeff)
-    if total.arity != arity:
-        raise ParseError("internal arity mismatch")
-    return total
+        add_term(terms, tuple(exps), coeff)
+    return Polynomial(arity, terms)
 
 
 def monomials_upto(arity: int, max_deg: int):

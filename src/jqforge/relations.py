@@ -14,7 +14,7 @@ Two kinds of columns feed the eliminations.
   coefficient of x^exps in the image of the i-th grid monomial is keyed
   by (i, exps).  For a combination of words of degree at most d the
   grid is the exact system in n variables, not a sample (the proof is
-  in `opalg.equal_by_evaluation`).  `_grid_vectors` builds the rows for
+  in `opalg.equal_by_evaluation`).  `grid_vectors` builds the rows for
   `adem_nullspace` and `norms.adem_valuation`, which solve on the
   one-variable grid, so their relations hold on every power of one
   variable, and need not hold in more.  `rank_estimate` builds the same
@@ -100,7 +100,7 @@ class RelationBasis:
         }
 
 
-def _grid_vectors(elements, mus):
+def grid_vectors(elements, mus):
     """Sparse constraint vector of each element {word: coeff} on the monomials mus.
 
     Entry (i, exps) is the coefficient of x^exps in the image of the i-th
@@ -143,7 +143,7 @@ def adem_nullspace(k: int, words=None) -> RelationBasis:
     for w in words:
         if sum(w) != k:
             raise DomainError(f"word {w} does not have degree {k}")
-    raw = linalg.nullspace(_grid_vectors([{w: 1} for w in words], monomials_upto(1, k)))
+    raw = linalg.nullspace(grid_vectors([{w: 1} for w in words], monomials_upto(1, k)))
     basis = [linalg.primitive_integer(v) for v in raw]
     return RelationBasis(
         degree=k,

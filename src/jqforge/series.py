@@ -271,7 +271,7 @@ class Sode:
         return self.element.degree()
 
 
-def _coefficient_equations(eq: Sode, xi0, order: int):
+def coefficient_equations(eq: Sode, xi0, order: int):
     """Linear system rows for the centered coefficient match.
 
     Row m states that the image coefficient at (x - xi0)^m equals the
@@ -303,7 +303,7 @@ def sode_solve(eq: Sode, xi0, a0, order: int) -> TruncatedSeries:
     a0 = Fraction(a0)
     if order < 1:
         raise DomainError("order must be positive")
-    rows, rhs = _coefficient_equations(eq, xi0, order)
+    rows, rhs = coefficient_equations(eq, xi0, order)
     moved = [b - row[0] * a0 for row, b in zip(rows, rhs)]
     tail = [row[1:] for row in rows]
     sol, bad = linalg.solve_affine(tail, moved)

@@ -22,7 +22,7 @@ def rand_poly(rng, arity, deg, nterms=3):
 def test_single_variable_binomial_rule():
     # the degree-k piece scales a pure power by a binomial coefficient
     for d in range(0, 8):
-        f = parse_poly(f"x1^{d}", 1) if d else Polynomial.constant(1, 1)
+        f = parse_poly(f"x1^{d}", 1) if d else Polynomial(1, {(0,): 1})
         for k in range(0, 8):
             img = action.apply_jq(k, f)
             from jqforge.scalar2 import binom
@@ -35,7 +35,7 @@ def test_apply_jq_known_values():
     assert action.apply_jq(2, parse_poly("x1^2", 1)) == parse_poly("x1^4", 1)
     assert action.apply_jq(3, parse_poly("x1^2", 1)) == Polynomial.zero(1)
     # scalars are killed by every positive piece
-    assert action.apply_jq(1, Polynomial.constant(5, 2)) == Polynomial.zero(2)
+    assert action.apply_jq(1, Polynomial(2, {(0, 0): 5})) == Polynomial.zero(2)
 
 
 def psi_q(q, f):

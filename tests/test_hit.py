@@ -177,7 +177,7 @@ def test_input_validation():
     with pytest.raises(DomainError):
         hit_decide_graded(parse_poly("x1 + x1^2", 1))
     with pytest.raises(DomainError):
-        hit_decide_graded(Polynomial.constant(3, 1))
+        hit_decide_graded(Polynomial(1, {(0,): 3}))
     with pytest.raises(DomainError):
         hit_decide_graded(Polynomial(1, {(3,): F(1, 2)}))
     with pytest.raises(DomainError):

@@ -18,9 +18,10 @@ that an import in `__init__` or a use in a demo also counts, and a short
 keep-list names the ones waiting for a command.  A public method,
 classmethod or property of a top-level class must be used as an
 attribute of that name, outside its own body, in the package or a demo;
-there is no keep-list for members.  The modules sit in layers, and a
-module imports only from the layers below its own, lazy imports inside
-functions included.
+there is no keep-list for members.  No package module imports a
+private `_name` from another; a helper two modules share is public.  The
+modules sit in layers, and a module imports only from the layers below
+its own, lazy imports inside functions included.
 """
 
 import ast
@@ -101,6 +102,41 @@ def test_the_check_sees_an_import_of_the_monomial_image():
         "norms": "from jqforge.action import monomial_image\n",
     }
     assert importers(sources, "monomial_image") == ["hit", "norms"]
+
+
+def private_imports(sources):
+    """(module, name) of each private `_name` a module imports from a package module.
+
+    sources maps module names to source text.  Relative imports and
+    absolute ones from `jqforge` count, at module level or inside a
+    function; dunder names such as `__version__` do not.
+    """
+    return sorted(
+        (mod, alias.name)
+        for mod, src in sources.items()
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "jqforge")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_no_module_imports_a_private_name():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert private_imports(sources) == []
+
+
+def test_the_check_sees_a_private_import():
+    sources = {
+        "norms": "from .relations import _grid_vectors, words_of_degree\n",
+        "golden": "def f():\n    from jqforge.series import _coefficient_equations as ce\n",
+        "__init__": "from .poly import Polynomial\n__all__ = ['__version__']\n",
+        "cli": "from __future__ import annotations\nfrom functools import _lru_cache_wrapper\n",
+    }
+    assert private_imports(sources) == [
+        ("golden", "_coefficient_equations"), ("norms", "_grid_vectors")
+    ]
 
 
 def unreferenced_private_definitions(sources):

@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -21,6 +22,27 @@ def test_word_product():
     assert ((a + b) * a).terms == {(1, 1): Fraction(1), (2, 1): Fraction(1)}
     assert (OpElement.jq(0) * b) == b
     assert (b * OpElement.one()) == b
+
+
+def test_polynomials_and_elements_never_meet():
+    f, e = parse_poly("x1", 1), OpElement.jq(1)
+    assert f != e and e != f
+    assert Polynomial.zero(1) != OpElement.zero()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(f, e)
+        with pytest.raises(TypeError):
+            op(e, f)
+
+
+@pytest.mark.parametrize(
+    "value", [parse_poly("x1", 1), OpElement.jq(1)], ids=lambda v: type(v).__name__
+)
+def test_values_are_immutable(value):
+    name = type(value).__name__
+    for attr in ("terms", "arity", "other"):
+        with pytest.raises(AttributeError, match=rf"^{name} is immutable$"):
+            setattr(value, attr, {})
 
 
 def test_degree_additivity():
@@ -226,7 +248,7 @@ def _near_relations(d, n_vars):
     only on monomials of degree d itself.
     """
     words = relations.words_of_degree(d)
-    cols = relations._grid_vectors([{w: 1} for w in words], monomials_upto(n_vars, d - 1))
+    cols = relations.grid_vectors([{w: 1} for w in words], monomials_upto(n_vars, d - 1))
     return words, linalg.nullspace(cols)
 
 

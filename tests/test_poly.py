@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -42,6 +43,14 @@ def test_ring_axioms_random():
         assert a - a == Polynomial.zero(2)
 
 
+def test_arity_mismatch_is_refused_and_zeros_of_two_arities_differ():
+    a, b = parse_poly("x1", 1), parse_poly("x1*x2", 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(DomainError, match=r"^arity mismatch: 1 vs 2$"):
+            op(a, b)
+    assert Polynomial.zero(1) != Polynomial.zero(2)
+
+
 def test_degree_and_parts():
     f = parse_poly("x1 + x1^2", 1)
     assert f.degree() == 2
@@ -56,11 +65,17 @@ def test_degree_and_parts():
 def test_parse_basic():
     f = parse_poly("3*x1^2*x2 - 1/3*x2^4", 2)
     assert f.terms == {(2, 1): Fraction(3), (0, 4): Fraction(-1, 3)}
-    assert parse_poly("1", 2) == Polynomial.constant(1, 2)
+    assert parse_poly("1", 2) == Polynomial(2, {(0, 0): 1})
     assert parse_poly("-x1", 1) == Polynomial(1, {(1,): -1})
     assert parse_poly("x1*x1", 1) == parse_poly("x1^2", 1)
     assert parse_poly("2*3*x1", 1) == parse_poly("6*x1", 1)
     assert parse_poly("0", 1) == Polynomial.zero(1)
+
+
+def test_parse_orders_terms_as_adding_them_one_at_a_time():
+    # a term that cancels leaves its place; when it comes back it goes last
+    f = parse_poly("x1 - x1 + x2 + 2*x1^2 + x1 - x1^2", 2)
+    assert list(f.terms.items()) == [((0, 1), 1), ((2, 0), 1), ((1, 0), 1)]
 
 
 def test_parse_errors():

@@ -420,9 +420,9 @@ def one_degree_elements(draw):
 @given(one_degree_elements())
 def test_grid_rows_have_the_nullspace_of_the_symbolic_rows(case):
     d, elements = case
-    one = relations._grid_vectors(elements, monomials_upto(1, d))
+    one = relations.grid_vectors(elements, monomials_upto(1, d))
     assert linalg.nullspace(one) == linalg.nullspace(_symbolic_columns(elements))
-    two = relations._grid_vectors(elements, monomials_upto(2, d))
+    two = relations.grid_vectors(elements, monomials_upto(2, d))
     assert linalg.nullspace(two) == linalg.nullspace(_symbolic_and_pair_columns(elements, d))
 
 

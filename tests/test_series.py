@@ -12,7 +12,7 @@ from jqforge.scalar2 import binom
 from jqforge.series import (
     Sode,
     TruncatedSeries,
-    _coefficient_equations,
+    coefficient_equations,
     geometric_inverse,
     series_apply_op,
     sode_residual,
@@ -103,7 +103,7 @@ def test_coefficient_rows_match_closed_form():
     # (m-1) a_(m-1) + (2 m c - 1) a_m + c^2 (m+1) a_(m+1) = 0
     eq = Sode(OpElement.jq(1) - OpElement.one(), Polynomial.zero(1))
     for c in (F(1), F(2), F(1, 3)):
-        rows, rhs = _coefficient_equations(eq, c, 8)
+        rows, rhs = coefficient_equations(eq, c, 8)
         assert all(b == 0 for b in rhs)
         for m, row in enumerate(rows):
             expected = {}
@@ -144,7 +144,7 @@ def test_no_solution_names_the_first_contradicting_equation():
     with pytest.raises(NoSolutionError) as exc:
         sode_solve(eq, 0, 1, 7)
     assert exc.value.index == 0
-    rows, rhs = _coefficient_equations(eq, 0, 7)
+    rows, rhs = coefficient_equations(eq, 0, 7)
     assert not any(rows[0]) and rhs[0] == 1
     # here equation 0 reads 0 = 0 and equation 1 reads 0 = -1
     eq = Sode(OpElement.jq(2), parse_poly("x1^3 - x1", 1))
