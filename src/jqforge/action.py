@@ -33,36 +33,31 @@ infinite series, so it lives in `series`.
 from __future__ import annotations
 
 import functools
+from math import comb
 
 from .errors import DomainError
 from .poly import Polynomial
-from .scalar2 import binom
 
 
 def _splits(exps, k):
-    """Yield (raised exponent tuple, coefficient) over ways to spread k.
+    """(raised exponent tuple, coefficient) pairs over the ways to spread k.
 
     Each variable with exponent e can absorb 0..e units; absorbing j units
-    multiplies by C(e, j) and raises the exponent by j.  Zero-coefficient
-    branches are pruned by the range bound.
+    multiplies by C(e, j) and raises the exponent by j.  One pass per
+    variable extends every partial spread; j starts where the later
+    exponents can still absorb what remains, so no branch dies.  Pairs come
+    in lexicographic order of the absorbed units.
     """
-    n = len(exps)
-
-    def rec(pos, remaining, coeff, acc):
-        if pos == n:
-            if remaining == 0:
-                yield tuple(acc), coeff
-            return
-        e = exps[pos]
-        top = min(e, remaining)
-        if sum(exps[pos:]) < remaining:
-            return
-        for j in range(top + 1):
-            acc.append(e + j)
-            yield from rec(pos + 1, remaining - j, coeff * binom(e, j), acc)
-            acc.pop()
-
-    yield from rec(0, k, 1, [])
+    partials = [((), k, 1)]
+    rest = sum(exps)
+    for e in exps:
+        rest -= e
+        partials = [
+            (raised + (e + j,), remaining - j, coeff * comb(e, j))
+            for raised, remaining, coeff in partials
+            for j in range(max(0, remaining - rest), min(e, remaining) + 1)
+        ]
+    return [(raised, coeff) for raised, remaining, coeff in partials if remaining == 0]
 
 
 @functools.lru_cache(maxsize=None)

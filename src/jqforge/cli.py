@@ -19,10 +19,13 @@ package modules it calls at the top of its own body: `hit` loads
 Every run resolves an effective config: the defaults, then an optional
 key=value file named by JQFORGE_CONFIG, then flags.  The six keys are
 described once, in `_CONFIG` (key, flag dest, value parser, default,
-help, range check); the defaults, the config-file keys (matched ignoring
-case and underscores), the flags and the validation all come from that
-table.  --json reports embed the resolved config verbatim, so results can
-be reproduced from the report alone.
+help, range check, the commands that read it); the defaults, the
+config-file keys (matched ignoring case and underscores), the flags and
+the validation all come from that table.  A command takes the flag of a
+key only when it reads that key, so a flag it would ignore is a usage
+error.  The file may still set every key, and --json reports embed the
+whole resolved config verbatim, so results can be reproduced from the
+report alone.
 
 Exit codes: 0 success, then one table (`_EXIT_CODES`) for the package
 errors: 2 parse or usage error, 3 domain error, 4 nothing found / no
@@ -45,22 +48,19 @@ from .errors import DomainError, NotFoundError, ParseError, VerificationError
 from .scalar2 import INF, format_scalar, in_z2, parse_scalar, two_adic_digits
 from .poly import format_poly, parse_poly
 
-# check: (predicate, "must ..." phrase) beyond the nonnegativity of every int key
-_Key = namedtuple("_Key", "name dest parse default help check")
+# check: (predicate, "must ..." phrase) beyond the nonnegativity of every int key;
+# commands: the subcommands whose bodies read the key, and so take its flag
+_Key = namedtuple("_Key", "name dest parse default help check commands")
 _CONFIG = (
-    _Key("nVars", "nvars", int, 4, "ambient variable count", (lambda v: v >= 1, "be positive")),
-    _Key("degBound", "deg_bound", int, 16, "evaluation degree bound", None),
-    _Key("maxJ", "max_j", int, 6, "filtration / precision depth", None),
-    _Key("order", "order", int, 12, "series truncation order", None),
-    _Key("digits", "digits", int, 0, "2-adic digit count for unit coefficients", None),
-    _Key(
-        "rho",
-        "rho",
-        parse_scalar,
-        Fraction(1, 2),
-        "radius for the degree norm",
-        (lambda v: 0 < v < 1, "lie strictly between 0 and 1"),
-    ),
+    _Key("nVars", "nvars", int, 4, "ambient variable count", (lambda v: v >= 1, "be positive"),
+         ("norm", "ore", "rank")),
+    _Key("degBound", "deg_bound", int, 16, "evaluation degree bound", None, ("norm",)),
+    _Key("maxJ", "max_j", int, 6, "filtration / precision depth", None, ("hit", "norm")),
+    _Key("order", "order", int, 12, "series truncation order", None, ("geom", "sode")),
+    _Key("digits", "digits", int, 0, "2-adic digit count for unit coefficients", None,
+         ("act", "decompose")),
+    _Key("rho", "rho", parse_scalar, Fraction(1, 2), "radius for the degree norm",
+         (lambda v: 0 < v < 1, "lie strictly between 0 and 1"), ("norm",)),
 )
 
 # shared-flag help that reads differently for one command
@@ -103,8 +103,9 @@ def _resolve_config(args):
     if env_path:
         config.update(_load_config_file(env_path))
     for key in _CONFIG:
-        if getattr(args, key.dest) is not None:
-            config[key.name] = getattr(args, key.dest)
+        value = getattr(args, key.dest, None)  # None also where the command has no such flag
+        if value is not None:
+            config[key.name] = value
     for key in _CONFIG:
         if key.parse is int and config[key.name] < 0:
             raise DomainError(f"config {key.name} must be nonnegative")
@@ -430,7 +431,7 @@ def build_parser():
     # the shared flags come last in every subcommand's usage line
     for name, p in sp.choices.items():
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        for key in _CONFIG:
+        for key in (key for key in _CONFIG if name in key.commands):
             flag = "--" + key.dest.replace("_", "-")
             help_text = _HELP.get((name, key.name), key.help)
             p.add_argument(flag, type=key.parse, default=None, help=help_text)

@@ -252,7 +252,10 @@ def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None)
     decides e = 0 on all polynomials in n_vars variables.  P_s does not
     depend on m_i where s_i = 0, so with n_vars >= degree (the default)
     it decides e = 0 in any number of variables.  A smaller deg_bound is
-    only a partial check.
+    only a partial check.  Every word commutes with permuting the
+    variables, as f -> f(x + x^2) treats each alike, so e(x^(sigma m)) is
+    e(x^m) with its exponents permuted; the grid is closed under
+    permutation, so the sweep visits only nonincreasing m.
 
     The difference is scaled by the lcm of its coefficient denominators,
     which changes no zero test, so with the integral monomial images of
@@ -270,7 +273,7 @@ def equal_by_evaluation(a: OpElement, b: OpElement, n_vars=None, deg_bound=None)
         deg_bound = d
     terms, _ = scale_to_ints(diff.terms)
     for exps in monomials_upto(n_vars, deg_bound):
-        if element_image(terms, exps):
+        if list(exps) == sorted(exps, reverse=True) and element_image(terms, exps):
             return False
     return True
 

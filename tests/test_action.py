@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +30,20 @@ def test_single_variable_binomial_rule():
             from jqforge.scalar2 import binom
             expected = Polynomial(1, {(d + k,): binom(d, k)})
             assert img == expected
+
+
+def test_monomial_image_matches_brute_force_in_order():
+    # every vector of absorbed units j <= exps with |j| = k, in lexicographic order of j
+    rng = random.Random(11)
+    for _ in range(300):
+        exps = tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 4)))
+        k = rng.randint(0, 14)
+        expected = tuple(
+            (tuple(e + j for e, j in zip(exps, js)), math.prod(map(math.comb, exps, js)))
+            for js in itertools.product(*(range(e + 1) for e in exps))
+            if sum(js) == k
+        )
+        assert action.monomial_image(k, exps) == expected
 
 
 def test_apply_jq_known_values():

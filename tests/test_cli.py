@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +283,96 @@ def test_unknown_flag_exit_2_with_usage(capsys):
     assert "usage:" in err
 
 
+def test_a_config_flag_the_command_does_not_read_is_a_usage_error(capsys):
+    for argv in (("cohit", "--d", "7", "--nvars", "3"), ("rank", "--d", "5", "--deg-bound", "7")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "usage:" in err
+    rc, out, _ = run(capsys, "rank", "--d", "5", "--nvars", "2", "--json")
+    assert rc == 0
+    assert json.loads(out)["config"]["nVars"] == 2
+
+
+def _is_args_config(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "config"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    )
+
+
+def config_reads(source):
+    """{command: keys its `_cmd_<name>` body reads from args.config}.
+
+    A read is a subscript by a string constant of args.config or of a local
+    bound to it; any other use of either is recorded as the key "?".
+    """
+    reads = {}
+    for func in ast.parse(source).body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")):
+            continue
+        aliases = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and _is_args_config(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        parents = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+        keys = set()
+        for node in ast.walk(func):
+            is_alias = isinstance(node, ast.Name) and node.id in aliases
+            if not (_is_args_config(node) or is_alias and isinstance(node.ctx, ast.Load)):
+                continue
+            parent = parents[node]
+            if isinstance(parent, ast.Assign) and parent.value is node:
+                continue
+            key = getattr(parent, "slice", None) if isinstance(parent, ast.Subscript) else None
+            keys.add(key.value if isinstance(key, ast.Constant) and isinstance(key.value, str) else "?")
+        reads[func.name[len("_cmd_"):].replace("_", "-")] = keys
+    return reads
+
+
+def undeclared_config_reads(source):
+    """(command, keys read, keys whose `_CONFIG` row lists it) wherever the two differ."""
+    return [
+        (name, keys, declared)
+        for name, keys in config_reads(source).items()
+        if keys != (declared := {key.name for key in cli._CONFIG if name in key.commands})
+    ]
+
+
+def test_each_command_reads_exactly_the_config_keys_it_declares(capsys):
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    reads = config_reads(source)
+    assert len(reads) == 14
+    assert undeclared_config_reads(source) == []
+    assert {name for key in cli._CONFIG for name in key.commands} <= set(reads)
+    # and its subparser holds --json and exactly those config flags
+    for name, keys in reads.items():
+        rc, out, _ = run(capsys, name, "--help")
+        assert rc == 0 and "--json" in out
+        flags = {key.name for key in cli._CONFIG if f"--{key.dest.replace('_', '-')} " in out}
+        assert flags == keys, name
+
+
+def test_an_undeclared_config_read_is_flagged():
+    source = (
+        "def _cmd_act(args):\n"
+        "    cfg = args.config\n"
+        "    return cfg['digits'], cfg['maxJ']\n"
+        "def _cmd_decompose(args):\n"
+        "    return args.config['digits']\n"
+        "def _cmd_rank(args):\n"
+        "    return args.config.get('nVars')\n"
+    )
+    assert undeclared_config_reads(source) == [
+        ("act", {"digits", "maxJ"}, {"digits"}),
+        ("rank", {"?"}, {"nVars"}),
+    ]
+
+
 def test_unknown_subcommand_exit_2(capsys):
     rc, _, err = run(capsys, "frobnicate")
     assert rc == 2
@@ -295,9 +387,7 @@ def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["config"]["nVars"] == 2
     assert obj["config"]["degBound"] == 10
-    _, out, _ = run(
-        capsys, "act", "--op", "Jq1", "--poly", "x1", "--vars", "1", "--json", "--nvars", "7"
-    )
+    _, out, _ = run(capsys, "rank", "--d", "2", "--json", "--nvars", "7")
     assert json.loads(out)["config"]["nVars"] == 7
 
 

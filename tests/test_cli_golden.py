@@ -79,7 +79,10 @@ BASE_CASES = [
     (["decompose", "--k", "4", "--mode", "q12", "--digits", "6"], None),
     (["decompose", "--k", "5", "--mode", "binary"], None),
     (["rank", "--d", "4"], None),
+    # rank reads no degBound, so its flag is a usage error
     (["rank", "--d", "5", "--nvars", "2", "--deg-bound", "7"], None),
+    # nVars reaches rank's config and its bounds
+    (["rank", "--d", "5", "--nvars", "2"], None),
     (["sode", "--op", "Jq1 - 1", "--rhs", "0", "--center", "1", "--a0", "1", "--order", "8"], None),
     (["sode", "--op", "Jq1 - 1", "--rhs", "0", "--center", "1", "--a0", "1"], None),
     (["sode", "--op", "Jq1 - 1", "--rhs", "x1", "--center", "0", "--a0", "1"], None),
@@ -96,7 +99,9 @@ BASE_CASES = [
     (["act", "--op", "Jq1 +", "--poly", "x1", "--vars", "1"], None),
     (["sode", "--op", "Jq1", "--rhs", "0", "--center", "x", "--a0", "1"], None),
     (["cohit", "--d", "0"], None),
+    # act reads no nVars, so its flag is a usage error; rank's meets the range check
     (["act", "--op", "Jq1", "--poly", "x1", "--nvars", "0"], None),
+    (["rank", "--d", "5", "--nvars", "0"], None),
     (["norm", "--which", "degree", "--op", "Jq1", "--rho", "2"], None),
     (["chi", "--k", "2", "--bogus"], None),
     (["act", "--help"], None),

@@ -282,6 +282,47 @@ def test_sweeping_to_the_degree_agrees_with_the_wide_sweep(case):
     assert exact == opalg.equal_by_evaluation(e, zero, n_vars=n_vars, deg_bound=2 * d + 4)
 
 
+def _kills_the_whole_grid(e, n_vars, deg_bound):
+    """Reference sweep: e kills every monomial of the grid, nonincreasing or not."""
+    return not any(
+        opalg.eval_element(e, Polynomial(n_vars, {mu: 1})) for mu in monomials_upto(n_vars, deg_bound)
+    )
+
+
+def test_sorted_sweep_gives_the_verdicts_of_the_full_sweep():
+    rng = random.Random(5)
+    r3 = opalg.parse_op("3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1")
+
+    def noise(d):
+        words = list(opalg.compositions(d))
+        picked = rng.sample(words, min(3, len(words)))
+        return OpElement({w: Fraction(rng.randint(-3, 3), rng.choice([1, 3])) for w in picked})
+
+    cases = []
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        if d >= 3 and rng.random() < 0.5:  # a multiple of the relation, sometimes perturbed
+            other = noise(d - 3) if d > 3 else OpElement.one()
+            e = other * r3 if rng.random() < 0.5 else r3 * other
+            cases.append(e + noise(d) if rng.random() < 0.3 else e)
+        else:
+            cases.append(noise(d))
+    q12, binary = relations.q12_decompose, relations.binary_decompose
+    for k, decompose in ((4, q12), (5, binary), (6, q12), (6, binary)):
+        out = decompose(k)
+        perturbed = out + OpElement.from_word(next(iter(out.terms)), Fraction(1, 3))
+        assert not opalg.equal_by_evaluation(OpElement.jq(k), perturbed)
+        cases += [OpElement.jq(k) - out, OpElement.jq(k) - perturbed]
+    zero, verdicts = OpElement.zero(), []
+    for e in cases:
+        d = e.degree()
+        for n_vars, deg_bound in ((1, d), (2, d), (3, d), (2, d + 3)):
+            verdict = _kills_the_whole_grid(e, n_vars, deg_bound)
+            assert opalg.equal_by_evaluation(e, zero, n_vars=n_vars, deg_bound=deg_bound) == verdict
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_a_degree_six_element_is_separated_only_at_its_degree():
     # kills every monomial of degree <= 5 in 3 variables, so one less than the degree is too few
     e = opalg.parse_op("4*Jq5.Jq1 + 2*Jq2.Jq4 - 3*Jq1.Jq5 - Jq1.Jq1.Jq4")
