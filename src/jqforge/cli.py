@@ -23,9 +23,10 @@ help, range check, the commands that read it); the defaults, the
 config-file keys (matched ignoring case and underscores), the flags and
 the validation all come from that table.  A command takes the flag of a
 key only when it reads that key, so a flag it would ignore is a usage
-error.  The file may still set every key, and --json reports embed the
-whole resolved config verbatim, so results can be reproduced from the
-report alone.
+error.  Each flag has one spelling: argparse's prefix matching is off,
+so an abbreviation is a usage error too.  The file may still set every
+key, and --json reports embed the whole resolved config verbatim, so
+results can be reproduced from the report alone.
 
 Exit codes: 0 success, then one table (`_EXIT_CODES`) for the package
 errors: 2 parse or usage error, 3 domain error, 4 nothing found / no
@@ -53,7 +54,7 @@ from .poly import format_poly, parse_poly
 _Key = namedtuple("_Key", "name dest parse default help check commands")
 _CONFIG = (
     _Key("nVars", "nvars", int, 4, "ambient variable count", (lambda v: v >= 1, "be positive"),
-         ("norm", "ore", "rank")),
+         ("norm", "rank")),
     _Key("degBound", "deg_bound", int, 16, "evaluation degree bound", None, ("norm",)),
     _Key("maxJ", "max_j", int, 6, "filtration / precision depth", None, ("hit", "norm")),
     _Key("order", "order", int, 12, "series truncation order", None, ("geom", "sode")),
@@ -237,14 +238,13 @@ def _cmd_ore(args):
     from .opalg import format_op, parse_op
     theta = parse_op(args.theta)
     eta = parse_op(args.eta)
-    n_vars = min(args.config["nVars"], 3)
-    x, y = relations.ore_solve(theta, eta, n_vars=n_vars)
+    x, y = relations.ore_solve(theta, eta)
     return {
         "theta": format_op(theta),
         "eta": format_op(eta),
         "x": format_op(x),
         "y": format_op(y),
-        "bounds": {"nVars": n_vars},
+        "bounds": {"nVars": relations.check_vars(theta.degree() + x.degree())},
     }
 
 
@@ -357,6 +357,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="jqforge",
         description="Exact dyadic Steenrod algebra calculator.",
+        allow_abbrev=False,
     )
     sp = parser.add_subparsers(dest="command", required=True)
 
@@ -428,8 +429,10 @@ def build_parser():
     p = sp.add_parser("verify-paper", help="recompute the published reference values")
     p.set_defaults(func=_cmd_verify_paper, text=_text_verify_paper)
 
-    # the shared flags come last in every subcommand's usage line
+    # each flag has one spelling (no prefix is taken for it), and the shared
+    # flags come last in every subcommand's usage line
     for name, p in sp.choices.items():
+        p.allow_abbrev = False
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         for key in (key for key in _CONFIG if name in key.commands):
             flag = "--" + key.dest.replace("_", "-")

@@ -51,13 +51,6 @@ F = Fraction
 XI = parse_poly("x1", 1)
 
 
-def _element(words, coeffs):
-    acc = OpElement.zero()
-    for w, c in zip(words, coeffs):
-        acc = acc + OpElement.from_word(w, c)
-    return acc
-
-
 def _first_symbolic_value(e, limit=8):
     """First (m, c), m in 1..limit, with e(x^m) = c*x^(m + deg e) nonzero, or None."""
     for m in range(1, limit + 1):
@@ -111,8 +104,8 @@ def check_cube_identity_orientation():
 
 def check_degree_five_sign():
     words = t_partition_words(5, 2)
-    printed = _element(words, [5, -5, 0, 1, -2])
-    corrected = _element(words, [5, -5, 0, 1, 2])
+    printed = OpElement(dict(zip(words, [5, -5, 0, 1, -2])))
+    corrected = OpElement(dict(zip(words, [5, -5, 0, 1, 2])))
     hit_at = _first_symbolic_value(printed)
     ok = hit_at is not None and _first_symbolic_value(corrected) is None
     if not ok:
@@ -126,8 +119,8 @@ def check_degree_five_sign():
 
 def check_degree_six_slots():
     words = t_partition_words(6, 2)
-    printed = _element(words, [9, -7, 0, 1, 0, 3])
-    corrected = _element(words, [9, -7, 0, 0, 1, 3])
+    printed = OpElement(dict(zip(words, [9, -7, 0, 1, 0, 3])))
+    corrected = OpElement(dict(zip(words, [9, -7, 0, 0, 1, 3])))
     hit_at = _first_symbolic_value(printed)
     ok = hit_at is not None and _first_symbolic_value(corrected) is None
     if not ok:
@@ -155,7 +148,7 @@ def check_three_factor_degree_four():
 def check_binary_seven_display():
     words = [(7,), (4, 2, 1), (4, 1, 2), (1, 2, 4), (1, 4, 2), (2, 1, 4), (2, 4, 1), (4, 1, 1, 1)]
     coeffs = [15, 6, F(31, 3), F(65, 7), F(-145, 9), F(-60, 7), F(170, 21), 1]
-    printed = _element(words, coeffs)
+    printed = OpElement(dict(zip(words, coeffs)))
     hit_at = _first_symbolic_value(printed)
     try:
         out = binary_decompose(7)
@@ -358,7 +351,7 @@ def check_affinoid_quadric_action():
 
 def check_single_variable_relation_scope():
     words = t_partition_words(4, 2)
-    elem = _element(words, [2, -3, 1, 1])
+    elem = OpElement(dict(zip(words, [2, -3, 1, 1])))
     symbolic_zero = _first_symbolic_value(elem) is None
     out = eval_element(elem, parse_poly("x1^2*x2", 2))
     return _split(

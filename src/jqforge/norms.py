@@ -22,7 +22,7 @@ from .opalg import (
     format_op,
     phi_reduce,
 )
-from .poly import monomials_upto
+from .poly import Polynomial, format_poly, monomials_upto
 from .relations import grid_vectors, words_of_degree
 from .scalar2 import INF, in_z2, v2
 
@@ -46,8 +46,8 @@ class ValuationReport:
             wit = None
         elif isinstance(self.witness, OpElement):
             wit = format_op(self.witness)
-        else:
-            wit = str(self.witness)
+        else:  # an exponent tuple: the scan's witness monomial
+            wit = format_poly(Polynomial(len(self.witness), {self.witness: 1}))
         return {
             "value": "inf" if self.value == INF else self.value,
             "norm": str(self.norm),

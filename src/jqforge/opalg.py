@@ -24,11 +24,12 @@ from .poly import (
     Polynomial,
     Terms,
     add_term,
+    format_terms,
     monomials_of_degree,
     monomials_upto,
     split_signed_terms,
 )
-from .scalar2 import binom, format_scalar, in_z2, mod2_reduce, parse_scalar, scale_to_ints
+from .scalar2 import binom, in_z2, mod2_reduce, parse_scalar, scale_to_ints
 
 _WORD_RE = re.compile(r"^Jq(\d+)$")
 
@@ -102,19 +103,7 @@ def format_word(w) -> str:
 
 
 def format_op(e: OpElement) -> str:
-    if not e.terms:
-        return "0"
-    pieces = []
-    for w in sorted(e.terms, key=word_key):
-        c = e.terms[w]
-        body = format_word(w)
-        if abs(c) != 1:
-            body = f"{format_scalar(abs(c))}*{body}"
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
+    return format_terms((e.terms[w], format_word(w)) for w in sorted(e.terms, key=word_key))
 
 
 def parse_op(text: str) -> OpElement:
@@ -223,10 +212,8 @@ def phi_reduce(e: OpElement) -> frozenset:
 
 
 def format_classical(x: frozenset) -> str:
-    if not x:
-        return "0"
     words = sorted(x, key=word_key)
-    return " + ".join("Sq0" if not w else ".".join(f"Sq{k}" for k in w) for w in words)
+    return format_terms((1, ".".join(f"Sq{k}" for k in w) or "Sq0") for w in words)
 
 
 # -- evaluation semantics ---------------------------------------------

@@ -168,29 +168,34 @@ def _term_sort_key(exps):
     return (sum(exps), tuple(-e for e in exps))
 
 
-def format_poly(f: Polynomial) -> str:
-    if not f.terms:
-        return "0"
+def format_terms(items) -> str:
+    """The signed sum of (coefficient, rendered key) pairs, in the given order.
+
+    A unit coefficient is dropped and any other prints as ``|c|*key``; an
+    empty key is a constant, which prints its scalar alone.  The first
+    term carries its own ``-`` and later ones join with `` + `` or
+    `` - ``.  The empty sum is ``0``.
+    """
     pieces = []
-    for exps in sorted(f.terms, key=_term_sort_key):
-        c = f.terms[exps]
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
-        if not factors:
+    for c, key in items:
+        if not key:
             body = format_scalar(abs(c))
         elif abs(c) == 1:
-            body = "*".join(factors)
+            body = key
         else:
-            body = "*".join([format_scalar(abs(c))] + factors)
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
+            body = f"{format_scalar(abs(c))}*{key}"
+        if pieces:
             pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
+        else:
+            pieces.append(body if c > 0 else "-" + body)
+    return "".join(pieces) or "0"
+
+
+def format_poly(f: Polynomial) -> str:
+    def monomial(exps):
+        return "*".join(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(exps) if e)
+
+    return format_terms((f.terms[e], monomial(e)) for e in sorted(f.terms, key=_term_sort_key))
 
 
 def split_signed_terms(s: str):
@@ -211,10 +216,7 @@ def split_signed_terms(s: str):
     while i < n:
         ch = s[i]
         if ch in "+-" and last_sig and last_sig not in "*/^":
-            chunk = s[start:i].strip()
-            if not chunk:
-                raise ParseError(f"empty term in {s!r}")
-            chunks.append((sign, chunk))
+            chunks.append((sign, s[start:i].strip()))
             sign = 1 if ch == "+" else -1
             i += 1
             while i < n and s[i] in "+- ":
@@ -265,23 +267,18 @@ def parse_poly(text: str, arity: int) -> Polynomial:
 
 
 def monomials_upto(arity: int, max_deg: int):
-    """Yield all exponent tuples with total degree between 0 and max_deg."""
-    def rec(pos, remaining, acc):
-        if pos == arity - 1:
-            for e in range(remaining + 1):
-                yield tuple(acc + [e])
-            return
-        for e in range(remaining + 1):
-            yield from rec(pos + 1, remaining - e, acc + [e])
+    """Yield all exponent tuples with total degree between 0 and max_deg.
 
-    if arity == 0:
-        yield ()
-        return
-    yield from rec(0, max_deg, [])
+    They are the tuples of degree max_deg in one more variable, in
+    monomials_of_degree's order, with the last entry, which takes up the
+    slack, dropped.  max_deg must be nonnegative.
+    """
+    for exps in monomials_of_degree(arity + 1, max_deg):
+        yield exps[:-1]
 
 
 def monomials_of_degree(arity: int, d: int):
-    """Yield the exponent tuples of total degree d, in monomials_upto's order."""
+    """Yield the exponent tuples of total degree d, the first entry slowest."""
     def rec(pos, remaining, acc):
         if pos == arity - 1:
             yield tuple(acc + [remaining])

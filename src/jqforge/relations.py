@@ -24,10 +24,9 @@ Two kinds of columns feed the eliminations.
 
 Every answer found in coordinates is re-checked through the kernel,
 an independent path, by `equal_by_evaluation` to the degree of what it
-compares.  Decompositions of degree k are re-checked in
-`check_vars(k)` variables, where that check is a proof in the algebra
-through degree 8 and a proof in three variables above; Ore pairs in the
-caller's number of variables.
+compares.  An identity of degree k, a decomposition or an Ore pair, is
+re-checked in `check_vars(k)` variables, where that check is a proof in
+the algebra through degree 8 and a proof in three variables above.
 """
 
 from __future__ import annotations
@@ -189,13 +188,13 @@ def q12_decompose(k: int) -> OpElement:
 
 
 def check_vars(k: int) -> int:
-    """Variables of the kernel re-check of a degree-k decomposition.
+    """Variables of the kernel re-check of an identity of degree k.
 
     Through degree 8 the words of each degree have rank p(d) in two
-    variables, so a two-variable check is a proof in the algebra.  At
-    degree 9 that rank is 29, not p(9) = 30, so from there the check
-    runs in three variables, where the rank is p(d) at least through
-    degree 12.
+    variables, so a two-variable check of an identity of degree k is a
+    proof in the algebra.  At degree 9 that rank is 29, not p(9) = 30,
+    so from there the check runs in three variables, where the rank is
+    p(d) at least through degree 12.
     """
     return 2 if k <= 8 else 3
 
@@ -275,14 +274,14 @@ def rank_estimate(d: int, n_vars: int = 3) -> int:
     return ech.rank
 
 
-def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3):
+def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None):
     """Common right multiples: find nonzero x, y with theta*x = eta*y.
 
     The default search starts with x in degree deg(theta) + deg(eta) and
     escalates the common product degree one step at a time, taking all
     words of each degree.  Pairs are solved in coordinates and
-    re-checked in n_vars variables, by a sweep to the degree of theta*x,
-    before being returned; raises NotFoundError when the sets are
+    re-checked in check_vars(deg theta*x) variables, by a sweep to that
+    degree, before being returned; raises NotFoundError when the sets are
     exhausted.  theta and eta must be nonzero in the algebra, not only
     as words.
     """
@@ -315,13 +314,13 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None, n_vars=3
             raise DomainError("word sets must be single-degree")
         if p + dx.pop() != q + dy.pop():
             raise DomainError("word sets are not degree-compatible")
-        found = _ore_attempt(theta, eta, (th, et), wx, wy, n_vars)
+        found = _ore_attempt(theta, eta, (th, et), wx, wy)
         if found is not None:
             return found
     raise NotFoundError("no common multiple over the given word sets")
 
 
-def _ore_attempt(theta, eta, coords, wx, wy, n_vars):
+def _ore_attempt(theta, eta, coords, wx, wy):
     """One pass over fixed word sets; re-checked result or None.
 
     coords holds the coordinates of theta and of -eta.  Each side keeps
@@ -346,6 +345,7 @@ def _ore_attempt(theta, eta, coords, wx, wy, n_vars):
         x = OpElement({v: -a for (side, v), a in combo.items() if side == "x"})
         y = OpElement({v: -a for (side, v), a in combo.items() if side == "y"})
         y = y + OpElement.from_word(w)
+        n_vars = check_vars(theta.degree() + x.degree())
         if not equal_by_evaluation(theta * x, eta * y, n_vars=n_vars):
             raise VerificationError(f"common multiple fails evaluation: x = {format_op(x)}")
         return x, y

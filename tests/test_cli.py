@@ -247,12 +247,17 @@ def test_ore_pair_prints_both_factors(capsys):
     assert lines[1].startswith("y = ")
 
 
-def test_ore_json_reports_the_clamped_variable_count(capsys):
-    # the search runs on at most 3 variables, whatever nVars asks for
-    for flags, used in (([], 3), (["--nvars", "2"], 2), (["--nvars", "5"], 3)):
-        rc, out, _ = run(capsys, "ore", "--theta", "Jq1", "--eta", "Jq2", "--json", *flags)
+def test_ore_json_reports_the_variables_of_its_check(tmp_path, capsys, monkeypatch):
+    # theta*x has degree 5, where a re-check in two variables is a proof,
+    # whatever nVars the config holds
+    cfg = tmp_path / "jqforge.cfg"
+    for config in (None, "nVars = 1\n", "nVars = 7\n"):
+        if config is not None:
+            cfg.write_text(config)
+            monkeypatch.setenv("JQFORGE_CONFIG", str(cfg))
+        rc, out, _ = run(capsys, "ore", "--theta", "Jq1", "--eta", "Jq2", "--json")
         assert rc == 0
-        assert json.loads(out)["bounds"] == {"nVars": used}
+        assert json.loads(out)["bounds"] == {"nVars": 2}
 
 
 def test_parse_error_exit_2(capsys):
@@ -283,8 +288,18 @@ def test_unknown_flag_exit_2_with_usage(capsys):
     assert "usage:" in err
 
 
+def test_an_abbreviated_flag_exit_2_with_usage(capsys):
+    rc, out, err = run(capsys, "hit", "--po", "x1^3")
+    assert (rc, out) == (2, "")
+    assert "usage:" in err
+
+
 def test_a_config_flag_the_command_does_not_read_is_a_usage_error(capsys):
-    for argv in (("cohit", "--d", "7", "--nvars", "3"), ("rank", "--d", "5", "--deg-bound", "7")):
+    for argv in (
+        ("cohit", "--d", "7", "--nvars", "3"),
+        ("rank", "--d", "5", "--deg-bound", "7"),
+        ("ore", "--theta", "Jq1", "--eta", "Jq2", "--nvars", "2"),
+    ):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert "usage:" in err
@@ -392,7 +407,7 @@ def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
 
 
 def test_config_file_nvars_reaches_rank_bounds(tmp_path, capsys, monkeypatch):
-    # rank reads nVars from the resolved config, like ore, capped at 3
+    # rank reads nVars from the resolved config, capped at 3
     cfg = tmp_path / "jqforge.cfg"
     cfg.write_text("nVars = 2\n")
     monkeypatch.setenv("JQFORGE_CONFIG", str(cfg))

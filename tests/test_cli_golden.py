@@ -102,6 +102,8 @@ BASE_CASES = [
     # act reads no nVars, so its flag is a usage error; rank's meets the range check
     (["act", "--op", "Jq1", "--poly", "x1", "--nvars", "0"], None),
     (["rank", "--d", "5", "--nvars", "0"], None),
+    # each flag has one spelling: a prefix of --digits is a usage error
+    (["act", "--op", "Jq1", "--poly", "1/3*x1^2", "--d", "4"], None),
     (["norm", "--which", "degree", "--op", "Jq1", "--rho", "2"], None),
     (["chi", "--k", "2", "--bogus"], None),
     (["act", "--help"], None),

@@ -159,6 +159,8 @@ def test_norm_estimate_jq1_fourth():
 def test_norm_estimate_identity_minus_generator():
     rep = operator_norm_estimate(OpElement.one() - OpElement.jq(2), n_vars=2, deg_bound=6)
     assert rep.value == 0
+    # the constant monomial already has a unit image, and prints as one
+    assert rep.witness == (0, 0) and rep.json_obj()["witness"] == "1"
 
 
 def test_norm_estimate_bounded_by_ker_adic():

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jqforge.errors import DomainError, ParseError
-from jqforge.poly import Polynomial, format_poly, monomials_of_degree, monomials_upto, parse_poly
+from jqforge.opalg import OpElement, format_classical, format_op
+from jqforge.poly import (
+    Polynomial,
+    format_poly,
+    format_terms,
+    monomials_of_degree,
+    monomials_upto,
+    parse_poly,
+)
 
 
 def rand_poly(rng, arity, deg, nterms=4):
@@ -116,6 +125,18 @@ def test_format_poly_then_parse_poly_is_the_identity(f):
     assert format_poly(parse_poly(text, f.arity)) == text
 
 
+def test_one_writer_for_every_signed_sum():
+    assert format_terms([]) == format_poly(Polynomial.zero(2)) == format_op(OpElement.zero()) == "0"
+    assert format_terms([(Fraction(-3, 2), "")]) == format_poly(parse_poly("-3/2", 1)) == "-3/2"
+    items = [(-1, "x1"), (1, "x2"), (Fraction(2, 3), "x1*x2"), (-5, "x2^2")]
+    assert format_terms(items) == "-x1 + x2 + 2/3*x1*x2 - 5*x2^2"
+    assert format_poly(parse_poly("1 - x1 + 4*x1^2", 1)) == "1 - x1 + 4*x1^2"
+    assert format_op(OpElement({(): 3})) == "3*Jq0"
+    assert format_op(OpElement({(): -1, (2, 1): Fraction(1, 5)})) == "-Jq0 + 1/5*Jq2.Jq1"
+    assert format_classical(frozenset({(), (2, 1)})) == "Sq0 + Sq2.Sq1"
+    assert format_classical(frozenset()) == "0"
+
+
 def test_format_graded_order():
     f = parse_poly("x2^2 + x1*x2 + x1 - x1^2", 2)
     assert format_poly(f) == "x1 - x1^2 + x1*x2 + x2^2"
@@ -125,6 +146,14 @@ def test_monomials_upto():
     ms = list(monomials_upto(2, 2))
     assert set(ms) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
     assert len(list(monomials_upto(3, 4))) == 35
+
+
+def test_enumerators_are_a_filtered_product_in_order():
+    for arity in range(5):
+        for d in range(7):
+            grid = list(itertools.product(range(d + 1), repeat=arity))
+            assert list(monomials_upto(arity, d)) == [mu for mu in grid if sum(mu) <= d]
+            assert list(monomials_of_degree(arity, d)) == [mu for mu in grid if sum(mu) == d]
 
 
 def test_monomials_of_degree_are_those_of_monomials_upto_in_order():
