@@ -14,11 +14,13 @@ handed back.
 
 from __future__ import annotations
 
+from math import comb
+
 from .action import apply_jq, word_images
 from .errors import DomainError, VerificationError
 from . import linalg
 from .poly import Polynomial, format_poly, monomials_of_degree
-from .scalar2 import INF, binom, in_z2, v2
+from .scalar2 import INF, in_z2
 
 
 class HitCertificate:
@@ -38,19 +40,15 @@ class HitCertificate:
 def min_hit_valuation(d: int) -> object:
     """Least 2-adic valuation among the single-variable column coefficients.
 
-    a*x^d is hit exactly when v2(a) reaches this; degree 1 has no columns
-    at all, so the value there is infinite.
+    The columns are Jq^i(x^(d-i)) = C(d-i, i) x^d for 1 <= i <= d // 2, and
+    a*x^d is hit exactly when v2(a) reaches their least valuation.  Kummer's
+    v2 C(n, k) = s(k) + s(n-k) - s(n), s the binary digit sum, reads it with
+    no binomial built.  Degree 1 has no columns at all: infinite.
     """
     if d < 1:
         raise DomainError("degree must be positive")
-    best = INF
-    for i in range(1, d):
-        c = binom(d - i, i)
-        if c:
-            v = v2(c)
-            if v < best:
-                best = v
-    return best
+    s = int.bit_count
+    return min((s(i) + s(d - 2 * i) - s(d - i) for i in range(1, d // 2 + 1)), default=INF)
 
 
 def _check_input(f: Polynomial):
@@ -74,13 +72,10 @@ def _single_power_certificate(f: Polynomial, d: int, cap):
     in the shape worked examples use.
     """
     (exps, a), = f.terms.items()
-    top = d if cap is None else min(d, cap + 1)
+    top = d // 2 if cap is None else min(d // 2, cap)
     fallback = None
-    for i in range(1, top):
-        c = binom(d - i, i)
-        if c == 0:
-            continue
-        ratio = a / c
+    for i in range(1, top + 1):
+        ratio = a / comb(d - i, i)
         cofactor = Polynomial(1, {(d - i,): ratio})
         if ratio.denominator == 1:
             return HitCertificate([(i, cofactor)])

@@ -94,6 +94,12 @@ def _scale_sub(row, combo, u, a, brow, bcombo):
 _TARGET = object()
 
 
+def _solved(combo, tag):
+    """A zero residual's combination solved for the row under tag, in Fractions."""
+    s = combo.pop(tag)
+    return {t: Fraction(-c, s) for t, c in combo.items()}
+
+
 class SparseEchelon:
     """Incremental echelon form on sparse rows keyed by orderable column ids.
 
@@ -129,20 +135,21 @@ class SparseEchelon:
         return row, combo
 
     def insert(self, row, tag):
-        """Add a row; returns True when it enlarged the span."""
+        """Add a row; None when it enlarged the span, else what `membership` gives.
+
+        A row that does not enlarge the span is not stored; its coefficients
+        come from this one reduction.
+        """
         residual, combo = self.reduce(row, tag)
         if not residual:
-            return False
+            return _solved(combo, tag)
         self.rows[min(residual)] = (residual, combo)
-        return True
+        return None
 
     def membership(self, row):
         """Fraction coefficients over inserted tags expressing row, or None."""
         residual, combo = self.reduce(row)
-        if residual:
-            return None
-        s = combo.pop(_TARGET)
-        return {tag: Fraction(-c, s) for tag, c in combo.items()}
+        return None if residual else _solved(combo, _TARGET)
 
     @property
     def rank(self):
@@ -160,11 +167,12 @@ def nullspace(columns):
     ech = SparseEchelon()
     basis = []
     for j, col in enumerate(columns):
-        if ech.insert(col, j):
+        combo = ech.insert(col, j)
+        if combo is None:
             continue
         v = [Fraction(0)] * len(columns)
         v[j] = Fraction(1)
-        for t, c in ech.membership(col).items():
+        for t, c in combo.items():
             v[t] = -c
         basis.append(v)
     return basis
@@ -205,7 +213,8 @@ def solve_affine(rows, rhs):
             raise ValueError(f"row {i} has {len(row)} entries, not {ncols}")
     ech = SparseEchelon()
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        if ech.insert({**dict(enumerate(row)), ncols: b}, i) and ncols in ech.rows:
+        ech.insert({**dict(enumerate(row)), ncols: b}, i)
+        if ncols in ech.rows:
             return None, i
     x = [Fraction(0)] * ncols
     for p in sorted(ech.rows, reverse=True):

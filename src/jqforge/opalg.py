@@ -29,7 +29,7 @@ from .poly import (
     monomials_upto,
     split_signed_terms,
 )
-from .scalar2 import binom, in_z2, mod2_reduce, parse_scalar, scale_to_ints
+from .scalar2 import in_z2, mod2_reduce, parse_scalar, scale_to_ints
 
 _WORD_RE = re.compile(r"^Jq(\d+)$")
 
@@ -181,7 +181,9 @@ def admissible_form(word: tuple) -> frozenset:
     Admissible means each entry is at least twice its right neighbour.
     The first offending adjacent pair from the left is expanded by the
     classical quadratic relations and the results are reduced recursively,
-    with symmetric difference implementing mod-2 arithmetic.
+    with symmetric difference implementing mod-2 arithmetic.  The relation
+    keeps the terms with C(b - j - 1, a - 2j) odd, that is (Lucas) with
+    the binary digits of a - 2j among those of b - j - 1.
     """
     word = tuple(k for k in word if k != 0)
     for pos in range(len(word) - 1):
@@ -189,7 +191,7 @@ def admissible_form(word: tuple) -> frozenset:
         if a < 2 * b:
             out = frozenset()
             for j in range(a // 2 + 1):
-                if binom(b - j - 1, a - 2 * j) % 2 == 1:
+                if ((a - 2 * j) & ~(b - j - 1)) == 0:
                     replacement = (a + b - j,) + ((j,) if j else ())
                     rewritten = word[:pos] + replacement + word[pos + 2:]
                     out = out ^ admissible_form(rewritten)

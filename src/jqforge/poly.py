@@ -254,7 +254,9 @@ def parse_poly(text: str, arity: int) -> Polynomial:
             m = _VAR_RE.match(factor)
             if m:
                 idx = int(m.group(1))
-                if not 1 <= idx <= arity:
+                if idx < 1:
+                    raise ParseError(f"no variable x{idx}: variables start at x1")
+                if idx > arity:
                     raise ParseError(f"variable x{idx} exceeds arity {arity}")
                 exps[idx - 1] += int(m.group(2)) if m.group(2) else 1
             else:

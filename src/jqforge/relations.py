@@ -172,8 +172,6 @@ def q12_decompose(k: int) -> OpElement:
     """
     if k < 1:
         raise DomainError("k must be positive")
-    if k <= 2:
-        return OpElement.jq(k)
     words = [w for w in words_of_degree(k) if all(p in (1, 2) for p in w)]
     *cols, target = witt.word_coordinates(words + [(k,)])
     ech = linalg.SparseEchelon()
@@ -242,7 +240,7 @@ def _independent(words):
     out, dim = [], witt.dimension(sum(words[0]))
     ech = linalg.SparseEchelon()
     for w, c in zip(words, witt.word_coordinates(words)):
-        if ech.insert(c, w):
+        if ech.insert(c, w) is None:
             out.append((w, c))
             if len(out) == dim:
                 break
@@ -338,10 +336,9 @@ def _ore_attempt(theta, eta, coords, wx, wy):
     for w, c in _independent(wx):
         ech.insert(witt.multiply(th, c), ("x", w))
     for w, c in _independent(wy):
-        col = witt.multiply(et, c)
-        if ech.insert(col, ("y", w)):
+        combo = ech.insert(witt.multiply(et, c), ("y", w))
+        if combo is None:
             continue
-        combo = ech.membership(col)
         x = OpElement({v: -a for (side, v), a in combo.items() if side == "x"})
         y = OpElement({v: -a for (side, v), a in combo.items() if side == "y"})
         y = y + OpElement.from_word(w)

@@ -2,8 +2,8 @@
 
 Scalars are plain fractions.Fraction values.  This module supplies the
 2-adic valuation (the exact sentinel INF for zero), the ring-of-integers
-test (odd denominator), reduction mod 2, binomial coefficients, and the
-rational parse/format pair used by every grammar in the package.
+test (odd denominator), reduction mod 2, and the rational parse/format
+pair used by every grammar in the package.
 """
 
 from __future__ import annotations
@@ -72,18 +72,6 @@ def mod2_reduce(r) -> int:
     if r.denominator % 2 == 0:
         raise NotInZ2Error(f"{r} has even denominator")
     return r.numerator % 2
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 for k < 0 or k > n.
-
-    A negative upper index is rejected rather than extended.
-    """
-    if n < 0:
-        raise DomainError(f"binomial upper index must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def scale_to_ints(coeffs: dict) -> tuple:

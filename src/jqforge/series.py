@@ -12,6 +12,7 @@ under python -O.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .errors import DomainError, NoSolutionError, ParseError, VerificationError
 from . import linalg
 from .opalg import OpElement, eval_element
 from .poly import Polynomial
-from .scalar2 import binom, format_scalar, parse_scalar, v2
+from .scalar2 import format_scalar, parse_scalar, v2
 
 
 class TruncatedSeries:
@@ -154,7 +155,7 @@ def _shift(terms, c: Fraction):
     out = {}
     for (m,), a in terms.items():
         for n in range(m + 1):
-            out[(n,)] = out.get((n,), Fraction(0)) + a * binom(m, n) * c ** (m - n)
+            out[(n,)] = out.get((n,), Fraction(0)) + a * math.comb(m, n) * c ** (m - n)
     return out
 
 

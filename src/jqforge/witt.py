@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .scalar2 import binom, scale_to_ints
+from .scalar2 import scale_to_ints
 
 
 @functools.lru_cache(maxsize=None)
@@ -38,7 +38,7 @@ def coefficient(n: int) -> Fraction:
         raise DomainError("the derivation starts at x^2")
     if n == 2:
         return Fraction(1)
-    acc = sum(coefficient(m) * binom(m, n + 1 - m) for m in range(2, n))
+    acc = sum(coefficient(m) * math.comb(m, n + 1 - m) for m in range(2, n))
     return -acc / (n - 2)
 
 

@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,17 @@ def test_cohit_values(capsys):
     assert (rc, out) == (0, "2\n")
     rc, out, _ = run(capsys, "cohit", "--d", "1")
     assert (rc, out) == (0, "infinite\n")
+
+
+def test_cohit_of_a_large_degree_reads_digit_sums():
+    # the least valuation over 20000 binomials of up to about 8,400 digits
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("JQFORGE_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jqforge.cli", "cohit", "--d", "40000"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1\n")
 
 
 def test_rank_json_carries_bounds(capsys):

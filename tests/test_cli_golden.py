@@ -74,6 +74,8 @@ BASE_CASES = [
     (["hit", "--poly", "2*x1^2 + 4*x1*x2", "--vars", "2"], None),
     (["cohit", "--d", "7"], None),
     (["cohit", "--d", "1"], None),
+    # 2047 = 2^11 - 1: order 2 from the least valuation over 1023 binomials
+    (["cohit", "--d", "2047"], None),
     (["ore", "--theta", "Jq1", "--eta", "Jq2"], None),
     (["decompose", "--k", "3", "--mode", "q12"], None),
     (["decompose", "--k", "4", "--mode", "q12", "--digits", "6"], None),

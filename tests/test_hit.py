@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -39,6 +40,13 @@ def test_min_hit_valuation_small_degrees():
     assert min_hit_valuation(5) == 0
     assert min_hit_valuation(7) == 1
     assert min_hit_valuation(15) == 1
+
+
+def test_min_hit_valuation_is_the_least_binomial_valuation():
+    # Kummer's digit sums against the binomials Jq^i(x^(d-i)) = C(d-i, i) x^d
+    for d in range(1, 600):
+        want = min((v2(math.comb(d - i, i)) for i in range(1, d) if math.comb(d - i, i)), default=INF)
+        assert min_hit_valuation(d) == want, d
 
 
 def test_min_hit_valuation_positive_exactly_below_powers_of_two():

@@ -420,11 +420,11 @@ class _FractionSparseEchelon:
     def insert(self, row, tag):
         residual, used = self.reduce(row)
         if not residual:
-            return False
+            return used
         combo = {tag: Fraction(1)}
         _fraction_sub(combo, 1, used)
         self.rows[min(residual)] = (residual, combo)
-        return True
+        return None
 
     def membership(self, row):
         residual, used = self.reduce(row)
@@ -436,6 +436,13 @@ class _FractionSparseEchelon:
 def _typed(values):
     """Values with their types, so that 1 and Fraction(1) differ."""
     return [(type(x), x) for x in values]
+
+
+def _same_coefficients(got, want):
+    """Both None, or the same coefficients in the same order and of the same type."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [(k, type(c), c) for k, c in got.items()] == [(k, type(c), c) for k, c in want.items()]
 
 
 # ints, Fractions with odd and even denominators, and large entries that make rows grow
@@ -506,17 +513,14 @@ def echelon_rows(draw):
 def test_sparse_echelon_matches_the_fraction_elimination(tagged, coeffs, other):
     ech, oracle = linalg.SparseEchelon(), _FractionSparseEchelon()
     for tag, row in tagged:
-        assert ech.insert(row, tag) == oracle.insert(row, tag)
+        # a dependent row returns its coefficients from the one reduction
+        _same_coefficients(ech.insert(row, tag), oracle.insert(row, tag))
     assert ech.rank == len(oracle.rows)
     assert list(ech.rows) == list(oracle.rows)
     rows = dict(tagged)
     member = _combine(rows, dict(zip(rows, coeffs)))
     for target in (member, {k: Fraction(v, 2) for k, v in member.items()}, other, {}):
-        got, want = ech.membership(target), oracle.membership(target)
-        # the same coefficients, in the same order and of the same type
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert [(k, type(c), c) for k, c in got.items()] == [(k, type(c), c) for k, c in want.items()]
+        _same_coefficients(ech.membership(target), oracle.membership(target))
     for pos, (row, combo) in ech.rows.items():
         orow, ocombo = oracle.rows[pos]
         # each stored row and its combination are one multiple of the oracle's, on ints

@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -132,6 +133,29 @@ def test_admissible_form():
     assert opalg.admissible_form((2, 1)) == frozenset({(2, 1)})
     assert opalg.admissible_form(()) == frozenset({()})
     assert opalg.admissible_form((0, 2, 0)) == frozenset({(2,)})
+
+
+@functools.lru_cache(maxsize=None)
+def _adem_by_binomials(word):
+    """The Adem rewriting with the parity of each C(b - j - 1, a - 2j) computed."""
+    word = tuple(k for k in word if k)
+    for pos in range(len(word) - 1):
+        a, b = word[pos], word[pos + 1]
+        if a < 2 * b:
+            out = frozenset()
+            for j in range(a // 2 + 1):
+                if math.comb(b - j - 1, a - 2 * j) % 2:
+                    replacement = (a + b - j,) + ((j,) if j else ())
+                    out ^= _adem_by_binomials(word[:pos] + replacement + word[pos + 2:])
+            return out
+    return frozenset({word})
+
+
+def test_admissible_form_reads_binomial_parity_by_lucas():
+    words = [w for d in range(11) for w in opalg.compositions(d)]
+    assert len(words) == 1024
+    for w in words:
+        assert opalg.admissible_form(w) == _adem_by_binomials(w), w
 
 
 def test_phi_reduce():

