@@ -20,7 +20,7 @@ from .action import apply_jq, word_images
 from .errors import DomainError, VerificationError
 from . import linalg
 from .poly import Polynomial, format_poly, monomials_of_degree
-from .scalar2 import INF, in_z2
+from .scalar2 import INF, in_z2, v2
 
 
 class HitCertificate:
@@ -37,18 +37,23 @@ class HitCertificate:
         ]
 
 
+def _column_valuation(d: int, i: int) -> int:
+    """v2 C(d-i, i) by Kummer: s(i) + s(d-2i) - s(d-i), s the binary digit sum."""
+    s = int.bit_count
+    return s(i) + s(d - 2 * i) - s(d - i)
+
+
 def min_hit_valuation(d: int) -> object:
     """Least 2-adic valuation among the single-variable column coefficients.
 
     The columns are Jq^i(x^(d-i)) = C(d-i, i) x^d for 1 <= i <= d // 2, and
-    a*x^d is hit exactly when v2(a) reaches their least valuation.  Kummer's
-    v2 C(n, k) = s(k) + s(n-k) - s(n), s the binary digit sum, reads it with
-    no binomial built.  Degree 1 has no columns at all: infinite.
+    a*x^d is hit exactly when v2(a) reaches their least valuation, read
+    by Kummer's digit sums with no binomial built.  Degree 1 has no
+    columns at all: infinite.
     """
     if d < 1:
         raise DomainError("degree must be positive")
-    s = int.bit_count
-    return min((s(i) + s(d - 2 * i) - s(d - i) for i in range(1, d // 2 + 1)), default=INF)
+    return min((_column_valuation(d, i) for i in range(1, d // 2 + 1)), default=INF)
 
 
 def _check_input(f: Polynomial):
@@ -69,17 +74,21 @@ def _single_power_certificate(f: Polynomial, d: int, cap):
 
     Prefers the smallest operator index with an integer cofactor, then
     the smallest with a 2-adically integral one; this keeps certificates
-    in the shape worked examples use.
+    in the shape worked examples use.  Indices whose column valuation
+    exceeds v2(a) admit neither, so their binomials are never built.
     """
     (exps, a), = f.terms.items()
+    va = v2(a)
     top = d // 2 if cap is None else min(d // 2, cap)
     fallback = None
     for i in range(1, top + 1):
+        if _column_valuation(d, i) > va:
+            continue
         ratio = a / comb(d - i, i)
         cofactor = Polynomial(1, {(d - i,): ratio})
         if ratio.denominator == 1:
             return HitCertificate([(i, cofactor)])
-        if fallback is None and in_z2(ratio):
+        if fallback is None:
             fallback = HitCertificate([(i, cofactor)])
     return fallback
 
@@ -146,11 +155,8 @@ def _verify_certificate(cert: HitCertificate, f: Polynomial):
 
 def cohit_order(d: int):
     """Size of the degree-d cokernel over one variable: 2^m(d), or infinite."""
-    if d < 1:
-        raise DomainError("degree must be positive")
-    if d == 1:
-        return INF
-    return 2 ** min_hit_valuation(d)
+    m = min_hit_valuation(d)
+    return INF if m is INF else 2 ** m
 
 
 def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:

@@ -24,7 +24,7 @@ from .opalg import (
 )
 from .poly import Polynomial, format_poly, monomials_upto
 from .relations import grid_vectors, words_of_degree
-from .scalar2 import INF, in_z2, v2
+from .scalar2 import INF, in_z2, scale_to_ints, v2, v2_int
 
 
 class ValuationReport:
@@ -178,16 +178,18 @@ def operator_norm_estimate(e: OpElement, n_vars: int = 4, deg_bound: int = 16) -
     monomials (the constant monomial included, which is what detects
     elements with an identity component).  For ultrametric coefficients
     the sup over monomials equals the sup over polynomials, so the only
-    gap is the finite scan range.
+    gap is the finite scan range.  The element is scaled to ints once, by
+    the lcm of its denominators; those are odd, so no valuation moves.
     """
     if not all(in_z2(c) for c in e.terms.values()):
         raise DomainError("coefficients must be 2-adic integers")
+    terms, _ = scale_to_ints(e.terms)
     best = INF
     witness = None
     bounds = {"nVars": n_vars, "degBound": deg_bound}
     for mu in monomials_upto(n_vars, deg_bound):
-        for c in element_image(e.terms, mu).values():
-            v = v2(c)
+        for c in element_image(terms, mu).values():
+            v = v2_int(c)
             if v < best:
                 best = v
                 witness = mu

@@ -29,7 +29,7 @@ from .poly import (
     monomials_upto,
     split_signed_terms,
 )
-from .scalar2 import in_z2, mod2_reduce, parse_scalar, scale_to_ints
+from .scalar2 import in_z2, parse_scalar, scale_to_ints
 
 _WORD_RE = re.compile(r"^Jq(\d+)$")
 
@@ -202,13 +202,14 @@ def admissible_form(word: tuple) -> frozenset:
 def phi_reduce(e: OpElement) -> frozenset:
     """Mod-2 reduction onto admissible classical words.
 
-    Coefficients must be 2-adic integers; odd ones survive, even ones die.
+    Coefficients must be 2-adic integers; p/q with q odd is p mod 2, so
+    odd numerators survive and even ones die.
     """
     out = frozenset()
     for w, c in e.terms.items():
         if not in_z2(c):
             raise NotInZ2Error(f"coefficient {c} of {format_word(w)} is not 2-adically integral")
-        if mod2_reduce(c) == 1:
+        if c.numerator & 1:
             out = out ^ admissible_form(w)
     return out
 

@@ -2,8 +2,8 @@
 
 Scalars are plain fractions.Fraction values.  This module supplies the
 2-adic valuation (the exact sentinel INF for zero), the ring-of-integers
-test (odd denominator), reduction mod 2, and the rational parse/format
-pair used by every grammar in the package.
+test (odd denominator), integer scaling of a coefficient dict, and the
+rational parse/format pair used by every grammar in the package.
 """
 
 from __future__ import annotations
@@ -61,17 +61,6 @@ def v2(r):
 def in_z2(r) -> bool:
     """True when r has odd denominator, i.e. lies in the 2-adic integers."""
     return Fraction(r).denominator % 2 == 1
-
-
-def mod2_reduce(r) -> int:
-    """Reduce an odd-denominator rational mod 2, giving 0 or 1.
-
-    p/q with q odd reduces to p * q^(-1) in F_2, which is just p mod 2.
-    """
-    r = Fraction(r)
-    if r.denominator % 2 == 0:
-        raise NotInZ2Error(f"{r} has even denominator")
-    return r.numerator % 2
 
 
 def scale_to_ints(coeffs: dict) -> tuple:

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jqforge import cli
+from jqforge import cli, golden
 from jqforge.cli import main
 
 
@@ -452,3 +453,29 @@ def test_verify_paper_ledger(capsys):
     assert statuses.count("DIVERGES") == 13
     assert "FAIL" not in statuses
     assert lines[-1] == "13 pass, 13 diverge, 0 fail"
+
+
+def test_verify_paper_fail_row_exits_1(capsys, monkeypatch):
+    # a degree norm of 1 breaks the upper comparison the row backs
+    monkeypatch.setattr(golden, "degree_norm", lambda e, rho: Fraction(1))
+    rc, out, _ = run(capsys, "verify-paper")
+    assert rc == 1
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL     norm-sandwich-upper: ")
+    assert lines[-1] == "13 pass, 12 diverge, 1 fail"
+    rc, out, _ = run(capsys, "verify-paper", "--json")
+    obj = json.loads(out)
+    assert rc == 1 and obj["counts"] == {"PASS": 13, "DIVERGES": 12, "FAIL": 1}
+
+
+def test_verify_paper_crashed_row(capsys, monkeypatch):
+    def broken(d):
+        raise ValueError("no rank today")
+
+    monkeypatch.setattr(golden, "rank_estimate", broken)
+    rc, out, _ = run(capsys, "verify-paper")
+    lines = out.splitlines()
+    assert rc == 1
+    assert "FAIL     rank-small-degrees: crashed: ValueError: no rank today" in lines
+    assert lines[-1] == "12 pass, 13 diverge, 1 fail"

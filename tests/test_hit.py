@@ -99,6 +99,42 @@ def test_decision_matches_valuation_oracle():
                 assert cert.reconstruct(1) == f
 
 
+def _ladder_by_every_binomial(a, d, cap):
+    """The single-power certificate ladder with each binomial built."""
+    fallback = None
+    for i in range(1, (d // 2 if cap is None else min(d // 2, cap)) + 1):
+        ratio = F(a) / math.comb(d - i, i)
+        if ratio.denominator == 1:
+            return [(i, Polynomial(1, {(d - i,): ratio}))]
+        if fallback is None and ratio.denominator % 2 == 1:
+            fallback = [(i, Polynomial(1, {(d - i,): ratio}))]
+    return fallback
+
+
+def test_ladder_builds_binomials_only_where_a_cofactor_can_be_integral(monkeypatch):
+    built = []
+
+    def counting_comb(n, k):
+        built.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(hit, "comb", counting_comb)
+    for d in range(2, 90):
+        for a in (1, 2, 3, 6, 8, 12, 40):
+            for cap in (None, 1, 3, 10):
+                built.clear()
+                ok, cert = hit_decide_graded(power(d, a), precision_j=cap)
+                want = _ladder_by_every_binomial(a, d, cap)
+                assert (cert.pairs if ok else None) == want, (a, d, cap)
+                for n, k in built:
+                    assert n + k == d
+                    assert v2(F(math.comb(n, k))) <= v2(F(a)), (a, d, k)
+    # a high power pays for few binomials: only C(d-i, i) odd are tried at a = 1
+    built.clear()
+    assert hit_decide_graded(power(4000), precision_j=4000)[0]
+    assert len(built) < 100
+
+
 def test_certificates_reconstruct_on_composite_inputs():
     rng = random.Random(11)
     for _ in range(12):

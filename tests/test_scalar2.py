@@ -47,14 +47,6 @@ def test_in_z2():
     assert not scalar2.in_z2(Fraction(3, 10))
 
 
-def test_mod2_reduce():
-    assert scalar2.mod2_reduce(Fraction(5, 3)) == 1
-    assert scalar2.mod2_reduce(2) == 0
-    assert scalar2.mod2_reduce(Fraction(1, 3)) == 1
-    with pytest.raises(NotInZ2Error):
-        scalar2.mod2_reduce(Fraction(1, 2))
-
-
 def test_binom_central_valuation():
     # C(2^n, 2^n - 1) = 2^n carries the full power of two
     for n in range(6):
