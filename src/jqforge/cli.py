@@ -55,7 +55,8 @@ _Key = namedtuple("_Key", "name dest parse default help check commands")
 _CONFIG = (
     _Key("nVars", "nvars", int, 4, "ambient variable count", (lambda v: v >= 1, "be positive"),
          ("norm", "rank")),
-    _Key("degBound", "deg_bound", int, 16, "evaluation degree bound", None, ("norm",)),
+    _Key("degBound", "deg_bound", int, 16, "largest degree norm --which ker accepts, capped at 8",
+         None, ("norm",)),
     _Key("maxJ", "max_j", int, 6, "filtration / precision depth", None, ("hit", "norm")),
     _Key("order", "order", int, 12, "series truncation order", None, ("geom", "sode")),
     _Key("digits", "digits", int, 0, "2-adic digit count for unit coefficients", None,
@@ -208,7 +209,7 @@ def _cmd_norm(args):
         bound = min(cfg["degBound"], 8)
         rep = norms_mod.ker_adic_valuation(e, max_j=cfg["maxJ"], degree_bound=bound)
     else:
-        rep = norms_mod.operator_norm_estimate(e, n_vars=cfg["nVars"], deg_bound=cfg["degBound"])
+        rep = norms_mod.operator_norm_estimate(e, n_vars=cfg["nVars"])
     return {"which": args.which, "report": rep.json_obj()}
 
 

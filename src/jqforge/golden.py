@@ -207,7 +207,7 @@ def check_norm_sandwich_upper():
 
 
 def check_transform_norm_of_powers():
-    est = operator_norm_estimate(parse_op("Jq1.Jq1.Jq1.Jq1"), n_vars=2, deg_bound=10)
+    est = operator_norm_estimate(parse_op("Jq1.Jq1.Jq1.Jq1"), n_vars=2)
     return est.norm == F(1, 8), (
         "printed closed form gives the fourth power of the degree-1 generator "
         f"transform norm 1/4; the monomial supremum over the scan is {est.norm}"

@@ -4,9 +4,10 @@ Three inequivalent gauges, each with its own report: the word-length
 valuation (membership in powers of the positive-degree ideal, solved
 degree by degree on the exact single-variable system), the kernel
 filtration of the mod-2 reduction (in Witt coordinates, so a gauge of
-the operator rather than of its spelling), and a monomial-scan estimate
-of the transformation norm.  Reports carry the bounds they were computed
-under and, when available, a witness that re-verifies the value.
+the operator rather than of its spelling), and the transformation norm,
+exact from a sweep to the element's own degree.  Reports carry the
+bounds they were computed under and, when available, a witness that
+re-verifies the value.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ class ValuationReport:
         """2^(-value) as an exact Fraction; 0 at infinite valuation."""
         if self.value == INF:
             return Fraction(0)
-        if self.value >= 0:
-            return Fraction(1, 2 ** self.value)
-        return Fraction(2 ** (-self.value))
+        return Fraction(1, 2 ** self.value)
 
     def json_obj(self):
         if self.witness is None:
@@ -130,6 +129,8 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
     power: an element that is zero in the algebra gets INF, as in the
     other gauges.
     """
+    if max_j < 0:
+        raise DomainError("maxJ must be nonnegative")
     if not e.terms:
         return ValuationReport(INF, "kerAdicLattice", {"maxJ": max_j})
     if not e.is_homogeneous():
@@ -171,31 +172,47 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
     return ValuationReport(value, "kerAdicLattice", {"maxJ": max_j, "degreeBound": degree_bound})
 
 
-def operator_norm_estimate(e: OpElement, n_vars: int = 4, deg_bound: int = 16) -> ValuationReport:
-    """Monomial-scan lower bound on the transformation norm, as 2^(-v).
+def operator_norm_estimate(e: OpElement, n_vars: int = 4) -> ValuationReport:
+    """The transformation norm in n_vars variables, as 2^(-v), exact.
 
-    v is the least coefficient valuation among the images of all scanned
-    monomials (the constant monomial included, which is what detects
-    elements with an identity component).  For ultrametric coefficients
-    the sup over monomials equals the sup over polynomials, so the only
-    gap is the finite scan range.  The element is scaled to ints once, by
+    v is the least coefficient valuation among the images of all
+    monomials x^m (the constant monomial included, which is what detects
+    elements with an identity component); for ultrametric coefficients
+    the sup over monomials is the sup over polynomials.  The sweep covers
+    |m| <= d, the degree of e, in lexicographic order, and is the whole
+    sup.  On x^m, e gives sum_s P_s(m) x^(m+s), each P_s an
+    integer-valued polynomial of total degree at most d
+    (`opalg.equal_by_evaluation`).  In the binomial basis, P_s =
+    sum_(|a|<=d) c_a prod C(m_i, a_i), and each c_a is an integer
+    combination of the values P_s(b), b <= a componentwise.  Two facts
+    follow.  No monomial of any degree reaches a smaller valuation than
+    the least over |m| <= d: v2 P_s(m) >= min v2 c_a >= that least.  And
+    if P_s(m*) has the least valuation, some c_a with a <= m* has no
+    more (the terms with a_i > m*_i vanish at m*), and then so has some
+    P_s(b) with b <= a: every minimiser m* has a minimiser b <= m* of
+    degree <= d, and b comes no later than m* in lexicographic order.  So
+    the first minimiser, the reported witness, has degree <= d, and any
+    longer sweep reports the same value and witness.
+
+    Monomial images have nonnegative integer coefficients, so no image
+    goes below the least valuation of e's own coefficients; the sweep
+    stops once it reaches that.  The element is scaled to ints once, by
     the lcm of its denominators; those are odd, so no valuation moves.
     """
     if not all(in_z2(c) for c in e.terms.values()):
         raise DomainError("coefficients must be 2-adic integers")
     terms, _ = scale_to_ints(e.terms)
-    best = INF
-    witness = None
-    bounds = {"nVars": n_vars, "degBound": deg_bound}
-    for mu in monomials_upto(n_vars, deg_bound):
+    floor = min(map(v2_int, terms.values()), default=INF)
+    d = max(e.degree(), 0)
+    best, witness = INF, None
+    for mu in monomials_upto(n_vars, d):
         for c in element_image(terms, mu).values():
             v = v2_int(c)
             if v < best:
-                best = v
-                witness = mu
-        if best == 0:
+                best, witness = v, mu
+        if best == floor:
             break
-    return ValuationReport(best, "monomialSup", bounds, witness)
+    return ValuationReport(best, "monomialSup", {"nVars": n_vars, "degBound": d}, witness)
 
 
 def degree_norm(e: OpElement, rho: Fraction) -> Fraction:

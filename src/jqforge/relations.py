@@ -26,7 +26,7 @@ Every answer found in coordinates is re-checked through the kernel,
 an independent path, by `equal_by_evaluation` to the degree of what it
 compares.  An identity of degree k, a decomposition or an Ore pair, is
 re-checked in `check_vars(k)` variables, where that check is a proof in
-the algebra through degree 8 and a proof in three variables above.
+the algebra through degree 12, and a proof in three variables only above.
 """
 
 from __future__ import annotations

@@ -59,6 +59,8 @@ BASE_CASES = [
     (["norm", "--which", "ker", "--op", "Jq1.Jq1.Jq1.Jq1"], None),
     (["norm", "--which", "estimate", "--op", "Jq2", "--nvars", "2", "--deg-bound", "6"], None),
     (["norm", "--which", "estimate", "--op", "0"], None),
+    # degree 17: the sweep reaches the element's own degree, whatever degBound says
+    (["norm", "--which", "estimate", "--op", "Jq17"], None),
     (["norm", "--which", "degree", "--op", "Jq3"], None),
     (["norm", "--which", "degree", "--op", "Jq3", "--rho", "1/8"], None),
     (["hit", "--poly", "3*x1^7", "--vars", "1"], None),

@@ -1,6 +1,10 @@
-import pytest
+import random
 from fractions import Fraction
 
+import pytest
+
+from jqforge import norms
+from jqforge.action import element_image
 from jqforge.errors import DomainError
 from jqforge.norms import (
     ValuationReport,
@@ -10,8 +14,9 @@ from jqforge.norms import (
     ker_phi_membership,
     operator_norm_estimate,
 )
-from jqforge.opalg import OpElement, equal_by_evaluation, parse_op
-from jqforge.scalar2 import INF
+from jqforge.opalg import OpElement, compositions, equal_by_evaluation, parse_op
+from jqforge.poly import monomials_upto
+from jqforge.scalar2 import INF, scale_to_ints, v2_int
 
 F = Fraction
 
@@ -136,31 +141,108 @@ def test_ker_adic_coefficient_guard():
         ker_adic_valuation(OpElement({(1,): F(1, 2)}))
 
 
+def test_ker_adic_refuses_a_negative_level_cap():
+    # a scalar and a generator alike: no gauge reports a negative valuation
+    for e in (OpElement({(): F(4)}), OpElement.jq(2)):
+        with pytest.raises(DomainError):
+            ker_adic_valuation(e, max_j=-1)
+
+
 def test_norm_estimate_generators():
     for k in range(1, 9):
-        rep = operator_norm_estimate(OpElement.jq(k), n_vars=2, deg_bound=10)
+        rep = operator_norm_estimate(OpElement.jq(k), n_vars=2)
         assert rep.value == 0
         assert rep.norm == 1
         assert rep.witness is not None
 
 
 def test_norm_estimate_jq1_squared():
-    rep = operator_norm_estimate(OpElement.from_word((1, 1)), n_vars=2, deg_bound=8)
+    rep = operator_norm_estimate(OpElement.from_word((1, 1)), n_vars=2)
     assert rep.value == 1
     assert rep.norm == F(1, 2)
 
 
 def test_norm_estimate_jq1_fourth():
-    rep = operator_norm_estimate(OpElement.from_word((1, 1, 1, 1)), n_vars=2, deg_bound=8)
+    rep = operator_norm_estimate(OpElement.from_word((1, 1, 1, 1)), n_vars=2)
     assert rep.value == 3
     assert rep.norm == F(1, 8)
 
 
 def test_norm_estimate_identity_minus_generator():
-    rep = operator_norm_estimate(OpElement.one() - OpElement.jq(2), n_vars=2, deg_bound=6)
+    rep = operator_norm_estimate(OpElement.one() - OpElement.jq(2), n_vars=2)
     assert rep.value == 0
     # the constant monomial already has a unit image, and prints as one
     assert rep.witness == (0, 0) and rep.json_obj()["witness"] == "1"
+
+
+def _scan_to(e, n_vars, deg_bound):
+    """(value, witness) of a monomial scan to a fixed degree bound, stopping at a unit."""
+    terms, _ = scale_to_ints(e.terms)
+    best, witness = INF, None
+    for mu in monomials_upto(n_vars, deg_bound):
+        for c in element_image(terms, mu).values():
+            if v2_int(c) < best:
+                best, witness = v2_int(c), mu
+        if best == 0:
+            break
+    return best, witness
+
+
+def _seeded_element(rng):
+    """A random element of degree 0-5, 2-adic coefficients, sometimes mixed."""
+    d = rng.randint(0, 5)
+    degrees = [d] + [rng.randint(0, d) for _ in range(rng.randint(0, 2))]
+    terms = {}
+    for k in degrees:
+        for w in rng.sample(list(compositions(k)), min(2, 2 ** max(k - 1, 0))):
+            odd = F(rng.choice([1, -1, 3, -5]), rng.choice([1, 3, 5]))
+            terms[w] = terms.get(w, 0) + odd * 2 ** rng.randint(0, 3)
+    if rng.random() < 0.3:
+        terms[()] = terms.get((), 0) + 2 ** rng.randint(0, 4)
+    return OpElement(terms)
+
+
+def test_norm_sweep_to_the_degree_matches_longer_scans():
+    rng = random.Random(24)
+    elements = [_seeded_element(rng) for _ in range(320)]
+    values = set()
+    for e in elements:
+        n_vars, d = rng.randint(1, 4), max(e.degree(), 0)
+        rep = operator_norm_estimate(e, n_vars=n_vars)
+        assert rep.bounds == {"nVars": n_vars, "degBound": d}
+        assert (rep.value, rep.witness) == _scan_to(e, n_vars, d + rng.randint(0, 4))
+        values.add(rep.value)
+    assert {0, 1, 2, 3, 4} <= values
+    assert sum(not e.is_homogeneous() for e in elements) > 50
+    assert sum(() in e.terms and e.degree() > 0 for e in elements) > 50
+
+
+def test_norm_sweep_stays_within_the_degree_and_stops_at_the_floor(monkeypatch):
+    seen = []
+
+    def spy(terms, mu):
+        image = element_image(terms, mu)
+        seen.append((mu, min(map(v2_int, image.values()), default=INF)))
+        return image
+
+    monkeypatch.setattr(norms, "element_image", spy)
+    for text in ("Jq1.Jq1.Jq1.Jq1", "Jq2.Jq1 + 2*Jq1", "1 + 4*Jq3", "4*Jq2.Jq2 + 8*Jq4"):
+        seen.clear()
+        d = parse_op(text).degree()
+        operator_norm_estimate(parse_op(text), n_vars=3)
+        assert seen and max(sum(mu) for mu, _ in seen) <= d
+    # every coefficient even: no image below valuation 1, so the first image there ends it
+    seen.clear()
+    rep = operator_norm_estimate(parse_op("2*Jq8.Jq8"))
+    assert rep.value == 1 and rep.witness == seen[-1][0] and seen[-1][1] == 1
+    assert all(v > 1 for _, v in seen[:-1]) and len(seen) < 100
+
+
+def test_norm_of_generators_above_the_former_scan_bound():
+    # a scan to degree 16 saw no image of these and reported the zero operator
+    jq17 = operator_norm_estimate(OpElement.jq(17))
+    assert (jq17.value, jq17.norm, jq17.bounds["degBound"]) == (0, 1, 17)
+    assert operator_norm_estimate(parse_op("2*Jq18")).value == 1
 
 
 def test_norm_estimate_bounded_by_ker_adic():
@@ -172,7 +254,7 @@ def test_norm_estimate_bounded_by_ker_adic():
         parse_op("Jq1.Jq1 + 2*Jq2"),
     ]
     for e in elems:
-        est = operator_norm_estimate(e, n_vars=2, deg_bound=8)
+        est = operator_norm_estimate(e, n_vars=2)
         ker = ker_adic_valuation(e)
         assert est.norm <= F(1, 2 ** ker.value)
 
@@ -187,7 +269,7 @@ def test_ker_phi_matches_small_norm():
         parse_op("Jq2.Jq2 + Jq3.Jq1"),
     ]
     for e in elems:
-        est = operator_norm_estimate(e, n_vars=3, deg_bound=8)
+        est = operator_norm_estimate(e, n_vars=3)
         assert ker_phi_membership(e) == (est.norm <= F(1, 2))
 
 

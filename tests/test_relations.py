@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jqforge import linalg, relations
+from jqforge import linalg, relations, witt
 from jqforge.action import element_image
 from jqforge.errors import DomainError, IndecomposableError, NotFoundError
 from jqforge.opalg import OpElement, equal_by_evaluation, eval_element, format_op, parse_op
@@ -325,15 +325,21 @@ def test_ore_finds_the_degree_nine_multiple_of_jq2_and_jq3():
     assert lhs and check.vanishes_on(lhs, monomials)
 
 
+# check_vars rests on these ranks: the words of degree d have rank p(d),
+# the dimension in the algebra, in check_vars(d) variables through degree 12
+
+
 def test_two_variables_tell_words_apart_through_degree_eight():
-    partition_numbers = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for d in range(1, 9):
-        assert rank_estimate(d, n_vars=2) == partition_numbers[d]
-    assert rank_estimate(9, n_vars=2) == 29
+        assert relations.check_vars(d) == 2
+        assert rank_estimate(d, n_vars=2) == witt.dimension(d)
+    assert rank_estimate(9, n_vars=2) == 29 == witt.dimension(9) - 1
 
 
-def test_three_variables_tell_words_apart_at_degree_ten():
-    assert rank_estimate(10, n_vars=3) == 42
+def test_three_variables_tell_words_apart_through_degree_twelve():
+    for d in range(9, 13):
+        assert relations.check_vars(d) == 3
+        assert rank_estimate(d, n_vars=3) == witt.dimension(d)
 
 
 # -- the symbolic single-variable system, kept as the grids' oracle ----

@@ -12,7 +12,7 @@ from jqforge.opalg import OpElement
 
 def test_infinite_valuations_are_exact_not_float():
     INF = scalar2.INF
-    reports = [adem_valuation(OpElement.zero()), operator_norm_estimate(OpElement.zero(), 1, 2)]
+    reports = [adem_valuation(OpElement.zero()), operator_norm_estimate(OpElement.zero(), 1)]
     values = [scalar2.v2(0), cohit_order(1), min_hit_valuation(1)] + [r.value for r in reports]
     assert all(v is INF and not isinstance(v, float) for v in values)
     for r in reports:
