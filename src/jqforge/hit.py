@@ -9,17 +9,20 @@ combination of the columns reduces to an F_2 combination of the columns
 mod 2 (Jq^i is Sq^i there), so f outside their F_2 span is not hit, and
 only the rest pay for the lattice.  The same F_2 test is `classical_hit`.
 Positive decisions return certificates that are re-verified before being
-handed back.
+handed back.  The module filtration by powers of the positive-degree
+ideal, whose first level is the hit decision, recurses on lattice bases:
+level j in degree b is spanned by the images Jq^k(g) of the basis rows g
+of level j - 1 in degree b - k, so no operator word is listed.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .action import apply_jq, word_images
+from .action import apply_jq, element_image, word_images
 from .errors import DomainError, VerificationError
 from . import linalg
-from .poly import Polynomial, format_poly, monomials_of_degree
+from .poly import Polynomial, add_term, format_poly, monomials_of_degree
 from .scalar2 import INF, in_z2, v2
 
 
@@ -109,12 +112,11 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
         _verify_certificate(cert, f)
         return True, cert
     top = d if precision_j is None else min(d, precision_j + 1)
-    gens = _columns(f.arity, d, {i: [(i,)] for i in range(1, top)})
-    combo = _membership(gens, f)
+    combo = _membership(_columns(f.arity, d, top), f)
     if combo is None:
         return False, None
     grouped = {}
-    for ((i,), mu), c in combo.items():
+    for (i, mu), c in combo.items():
         grouped.setdefault(i, {})[mu] = c
     pairs = [(i, Polynomial(f.arity, terms)) for i, terms in sorted(grouped.items())]
     cert = HitCertificate(pairs)
@@ -122,14 +124,27 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
     return True, cert
 
 
-def _columns(arity, d, words_by_degree):
-    """Nonzero generators ((w, mu), w(x^mu)), w in words_by_degree[b] and |mu| = d - b."""
+def _columns(arity, d, top):
+    """Nonzero generators ((i, mu), Jq^i(x^mu)), 1 <= i < top and |mu| = d - i."""
+    return [
+        ((i, mu), col)
+        for i in range(1, top)
+        for mu in monomials_of_degree(arity, d - i)
+        for col in word_images([(i,)], mu)
+        if col
+    ]
+
+
+def _images(bases, b):
+    """Generators ((k, i), Jq^k(g)), 1 <= k <= b, g the i-th int row of bases[b - k]."""
     gens = []
-    for b, pool in words_by_degree.items():
-        for mu in monomials_of_degree(arity, d - b):
-            for w, col in zip(pool, word_images(pool, mu)):
-                if col:
-                    gens.append(((w, mu), col))
+    for k in range(1, b + 1):
+        for i, g in enumerate(bases[b - k]):
+            col = {}
+            for mu, c in g.items():
+                for e, v in element_image({(k,): c}, mu).items():
+                    add_term(col, e, v)
+            gens.append(((k, i), col))
     return gens
 
 
@@ -159,25 +174,37 @@ def cohit_order(d: int):
     return INF if m is INF else 2 ** m
 
 
-def module_adem_filtration(f: Polynomial, max_j: int = 6) -> int:
-    """Largest j with f reached by operator words of filtration order >= j.
+def module_adem_filtration(f: Polynomial) -> int:
+    """Largest j with f in M_j, the Z_(2) span of the w(x^mu) over words of length >= j.
 
-    Level j uses columns w(mu) over words of length >= j; a word of
-    length s is a product of s positive-degree operations, so this is the
-    module filtration by powers of the positive-degree ideal.  Level 1
-    coincides with the hit decision.
+    A word of length s is a product of s positive-degree operations, so
+    M_j is the module filtration by powers of the positive-degree ideal;
+    M_0 holds every polynomial, and level 1 is the hit decision.  The
+    levels recurse on Z_(2) lattice bases, one per degree b < d, each
+    built from the images Jq^k(g), k >= 1, of the basis rows g of the
+    level before in degree b - k; f is tested against the images in its
+    own degree d, refused mod 2 first.  The recursion is exact, and it
+    stops by itself:
+
+    1. A word of length s >= j is Jq^k applied after a word of length
+       s - 1 >= j - 1, so M_j = sum_k Jq^k(M_(j-1)), and the images of a
+       Z_(2) basis of M_(j-1) span M_j over Z_(2).
+    2. Jq^k raises degree by exactly k, so M_j in degree b comes from
+       M_(j-1) in the degrees b - k < b; bases below d suffice.
+    3. A word of length >= j has degree >= j and kills constants, so M_j
+       is zero in every degree b <= j.  The input is nonzero of degree
+       d, so the value is at most d - 1, and the loop ends by j = d.
+
+    The mod-2 refusal is sound for any generating set of integral rows
+    (Nakayama), the basis rows included.
     """
-    from .relations import words_of_degree
-
     d = _check_input(f)
-    value = 0
-    for j in range(1, max_j + 1):
-        pools = {b: [w for w in words_of_degree(b) if len(w) >= j] for b in range(j, d)}
-        if _membership(_columns(f.arity, d, pools), f) is not None:
-            value = j
-        else:
-            break
-    return value
+    bases = {b: [{mu: 1} for mu in monomials_of_degree(f.arity, b)] for b in range(d)}
+    j = 0
+    while _membership(_images(bases, d), f) is not None:
+        bases = {b: [r for _, r, _ in linalg.Z2Lattice(_images(bases, b)).basis] for b in range(d)}
+        j += 1
+    return j
 
 
 def classical_hit(f: Polynomial) -> bool:
@@ -187,4 +214,4 @@ def classical_hit(f: Polynomial) -> bool:
     mod 2, and f is hit when its reduction lies in their F_2 span.
     """
     d = _check_input(f)
-    return _in_f2_span(_columns(f.arity, d, {i: [(i,)] for i in range(1, d)}), f)
+    return _in_f2_span(_columns(f.arity, d, d), f)

@@ -73,8 +73,6 @@ def adem_valuation(e: OpElement) -> ValuationReport:
     d = e.degree()
     if d == 0:
         return ValuationReport(0, "ademWordLength", {"mDegree": 0})
-    if any(len(w) == 0 for w in e.terms):
-        raise DomainError("mixed identity term; split the element first")
     words = words_of_degree(d)
     *vecs, target = grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
     if not target:
@@ -131,8 +129,9 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
     """
     if max_j < 0:
         raise DomainError("maxJ must be nonnegative")
+    bounds = {"maxJ": max_j, "degreeBound": degree_bound}
     if not e.terms:
-        return ValuationReport(INF, "kerAdicLattice", {"maxJ": max_j})
+        return ValuationReport(INF, "kerAdicLattice", bounds)
     if not e.is_homogeneous():
         raise DomainError("valuation is per graded part; split the element first")
     if not all(in_z2(c) for c in e.terms.values()):
@@ -142,11 +141,11 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
         raise DomainError(f"degree {d} beyond the configured bound {degree_bound}")
     if d == 0:
         v = min(v2(c) for c in e.terms.values())
-        return ValuationReport(min(v, max_j), "kerAdicLattice", {"maxJ": max_j})
+        return ValuationReport(min(v, max_j), "kerAdicLattice", bounds)
 
     (target,) = witt.element_coordinates([e.terms])
     if not target:
-        return ValuationReport(INF, "kerAdicLattice", {"maxJ": max_j})
+        return ValuationReport(INF, "kerAdicLattice", bounds)
 
     kernel = {}
     for b in range(0, d + 1):
@@ -169,7 +168,7 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
         if linalg.Z2Lattice(enumerate(level[d])).contains(target) is None:
             break
         value = j
-    return ValuationReport(value, "kerAdicLattice", {"maxJ": max_j, "degreeBound": degree_bound})
+    return ValuationReport(value, "kerAdicLattice", bounds)
 
 
 def operator_norm_estimate(e: OpElement, n_vars: int = 4) -> ValuationReport:

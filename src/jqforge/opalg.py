@@ -86,8 +86,8 @@ class OpElement(Terms):
         return cls({(): Fraction(1)}) if k == 0 else cls({(k,): Fraction(1)})
 
     @classmethod
-    def from_word(cls, w, coeff=1) -> "OpElement":
-        return cls({tuple(w): Fraction(coeff)})
+    def from_word(cls, w) -> "OpElement":
+        return cls({tuple(w): Fraction(1)})
 
     def __repr__(self):
         return f"OpElement({format_op(self)!r})"

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jqforge import hit
-from jqforge.action import apply_jq
+from jqforge.action import apply_jq, apply_word, word_images
 from jqforge.errors import DomainError
 from jqforge.hit import (
     HitCertificate,
@@ -19,7 +19,8 @@ from jqforge.hit import (
     module_adem_filtration,
 )
 from jqforge.linalg import Z2Lattice
-from jqforge.poly import Polynomial, monomials_of_degree, monomials_upto, parse_poly
+from jqforge.poly import Polynomial, format_poly, monomials_of_degree, monomials_upto, parse_poly
+from jqforge.relations import words_of_degree
 from jqforge.scalar2 import INF, v2
 
 from f2_oracle import sq_on_f2
@@ -188,11 +189,79 @@ def test_module_filtration_values():
     assert module_adem_filtration(power(3)) == 0
     assert module_adem_filtration(power(4)) == 2
     assert module_adem_filtration(power(8)) == 3
+    # past the old level cap of 6
+    assert module_adem_filtration(power(32)) == 7
+    assert module_adem_filtration(power(64)) == 10
 
 
 def test_filtration_positive_iff_hit():
     for f in (power(3), power(3, 2), power(4), parse_poly("x1*x2", 2), parse_poly("x1^2", 2)):
-        assert (module_adem_filtration(f, max_j=2) >= 1) == hit_decide_graded(f)[0]
+        assert (module_adem_filtration(f) >= 1) == hit_decide_graded(f)[0]
+
+
+def _word_pool_filtration(f):
+    """The filtration over word pools, with no level cap: the reference.
+
+    Level j spans the images w(x^mu) of all words w of length >= j and
+    degree b < d on the monomials of degree d - b.
+    """
+    d = f.degree()
+    value = 0
+    for j in range(1, d + 1):
+        gens = [
+            ((w, mu), col)
+            for b in range(j, d)
+            for mu in monomials_of_degree(f.arity, d - b)
+            for w in words_of_degree(b)
+            if len(w) >= j
+            for col in word_images([w], mu)
+            if col
+        ]
+        if Z2Lattice(gens).contains(f.terms) is None:
+            return value
+        value = j
+    return value
+
+
+def _seeded_filtration_inputs(seed, count):
+    """Homogeneous inputs in 1 variable to degree 10, 2 to 6 and 3 to 5.
+
+    About two in three are sums of images of words made mostly of Jq1
+    and Jq2, so that long words, and high levels, occur.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 3)
+        d = rng.randint(1, (10, 6, 5)[n - 1])
+        f = Polynomial.zero(n)
+        if rng.random() < 0.35:
+            mons = list(monomials_of_degree(n, d))
+            for mu in rng.sample(mons, rng.randint(1, min(3, len(mons)))):
+                f = f + Polynomial(n, {mu: F(rng.choice([1, -1, 2, 3, 4, -6, 8, F(1, 3)]))})
+        else:
+            for _ in range(rng.randint(1, 3)):
+                b = rng.randint(1, d)
+                word = []
+                while sum(word) < b:
+                    word.append(min(rng.choice([1, 1, 2, rng.randint(1, b)]), b - sum(word)))
+                mu = rng.choice(list(monomials_of_degree(n, d - b)))
+                image = apply_word(word, Polynomial(n, {mu: 1}))
+                f = f + F(rng.choice([1, -1, 2, 3, F(1, 5)])) * image
+        if f.terms:
+            out.append(f)
+    return out
+
+
+def test_module_filtration_matches_the_word_pools():
+    values = []
+    for f in _seeded_filtration_inputs(2024, 220):
+        value = module_adem_filtration(f)
+        assert value == _word_pool_filtration(f), format_poly(f)
+        assert value <= f.degree() - 1
+        values.append(value)
+    # the set reaches levels the old cap of 6 cut off
+    assert max(values) > 6
 
 
 def test_classical_consistency_one_variable():
@@ -280,11 +349,11 @@ def z2_inputs(draw):
 @given(z2_inputs())
 def test_refusal_mod_2_never_changes_a_verdict(f):
     d = f.degree()
-    gens = hit._columns(f.arity, d, {i: [(i,)] for i in range(1, d)})
+    gens = hit._columns(f.arity, d, d)
     assert hit_decide_graded(f)[0] == (Z2Lattice(gens).contains(f.terms) is not None)
-    refused = module_adem_filtration(f, max_j=3)
+    refused = module_adem_filtration(f)
     with mock.patch.object(hit, "_in_f2_span", lambda gens, f: True):
-        assert module_adem_filtration(f, max_j=3) == refused
+        assert module_adem_filtration(f) == refused
 
 
 def test_refused_mod_2():

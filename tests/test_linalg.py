@@ -329,7 +329,7 @@ def test_tall_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
 
 def test_z2_lattice_of_hit_columns_matches_the_fraction_elimination():
     # the columns Jq^i(x^mu), |mu| = 7 - i, that decide hits in degree 7 over 3 variables
-    gens = hit._columns(3, 7, {i: [(i,)] for i in range(1, 7)})
+    gens = hit._columns(3, 7, 7)
     coeffs = [(-1) ** t * (t % 5) for t in range(len(gens))]
     _assert_matches_the_fraction_elimination(gens, coeffs, {(3, 2, 2): 1, (7, 0, 0): 3})
 

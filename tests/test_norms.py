@@ -122,7 +122,7 @@ def test_ker_adic_valuation_of_a_relation_is_infinite(text):
     e = parse_op(text)
     assert equal_by_evaluation(e, OpElement.zero())
     rep = ker_adic_valuation(e, max_j=5)
-    assert rep.value is INF and rep.norm == 0 and rep.bounds == {"maxJ": 5}
+    assert rep.value is INF and rep.norm == 0 and rep.bounds == {"maxJ": 5, "degreeBound": 8}
 
 
 def test_ker_adic_valuation_reads_the_operator_not_its_words():

@@ -334,7 +334,7 @@ def test_sorted_sweep_gives_the_verdicts_of_the_full_sweep():
     q12, binary = relations.q12_decompose, relations.binary_decompose
     for k, decompose in ((4, q12), (5, binary), (6, q12), (6, binary)):
         out = decompose(k)
-        perturbed = out + OpElement.from_word(next(iter(out.terms)), Fraction(1, 3))
+        perturbed = out + Fraction(1, 3) * OpElement.from_word(next(iter(out.terms)))
         assert not opalg.equal_by_evaluation(OpElement.jq(k), perturbed)
         cases += [OpElement.jq(k) - out, OpElement.jq(k) - perturbed]
     zero, verdicts = OpElement.zero(), []

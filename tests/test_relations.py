@@ -223,11 +223,12 @@ def test_fraction_add_common_denominator():
     a, b = OpElement.jq(1), OpElement.jq(2)
     c = OpElement.jq(3)
     num, den = fraction_add(a, b, c, b)
-    # same denominator: the Ore step may still rescale, so check the
-    # defining identity num*b = (a + c)*den ... the fraction algebra only
-    # guarantees equality after clearing, verified by evaluation
-    assert den.terms
-    assert num.terms
+    # one denominator: the Ore step solves b*x = b*y, here with x = y = Jq4,
+    # so a*b^-1 + c*b^-1 = (a*x + c*x)*(b*x)^-1
+    x, y = ore_solve(b, b)
+    assert x == y
+    assert num == a * x + c * x
+    assert den == b * x
 
 
 def test_fraction_add_zero_numerators():
