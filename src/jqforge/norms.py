@@ -1,8 +1,9 @@
 """Valuations and norm estimates for operator elements.
 
 Three inequivalent gauges, each with its own report: the word-length
-valuation (membership in powers of the positive-degree ideal, solved
-degree by degree on the exact single-variable system), the kernel
+valuation (membership in powers of the positive-degree ideal, on the
+exact single-variable system, where a proof leaves two candidate
+values and d words to test them), the kernel
 filtration of the mod-2 reduction (in Witt coordinates, so a gauge of
 the operator rather than of its spelling), and the transformation norm,
 exact from a sweep to the element's own degree.  Reports carry the
@@ -15,13 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .action import element_image
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from . import linalg, witt
 from .opalg import (
     OpElement,
     admissible_form,
+    compositions,
+    equal_by_evaluation,
     format_op,
     phi_reduce,
+    word_key,
 )
 from .poly import Polynomial, format_poly, monomials_upto
 from .relations import grid_vectors, words_of_degree
@@ -59,12 +63,26 @@ class ValuationReport:
 def adem_valuation(e: OpElement) -> ValuationReport:
     """Largest j with e spanned by degree-d words of length >= j.
 
-    Solved on the one-variable grid to degree d, the exact single-variable
-    system (see `relations`), descending j, so the value is the order of e
-    in the filtration by powers of the positive-degree ideal.  The witness
-    is the rewriting into long words.  The gauge is one-variable: an
-    element whose one-variable image is zero, whether or not it is zero in
-    more variables, gets inf, as the zero element does.
+    The value is the order of e in the filtration by powers of the
+    positive-degree ideal, solved on the one-variable grid to degree d,
+    the exact single-variable system (see `relations`).
+    The witness is the rewriting into long words.  An element whose
+    one-variable image is zero, whether or not it is zero in more
+    variables, gets inf, as the zero element does.
+
+    In one variable the value is d, d - 1 or inf, and d words decide it.
+    Jq^k x^m = C(m, k) x^(m+k), so a degree-d element acts on x^m as
+    P(m) x^(m+d), P of degree <= d with P(0) = 0: a space of dimension d.
+    Jq1^d acts as R(m) = m(m+1)...(m+d-1).  A word of length d - 1 has one
+    Jq2, with b letters Jq1 to its right, 0 <= b <= d - 2, and acts as
+    R(m)(m+b-1)/(2(m+b+1)) = R/2 - R/(m+c), c = b + 1.  So the d words of
+    length >= d - 1 span R and the R/(m+c), c = 1..d-1.  These are
+    independent: at m = -c only R/(m+c) is nonzero, and only R has degree
+    d.  They span every image, so the value is d - 1 or more; it is d
+    exactly when the image is a multiple of R, the image of the one word
+    of length d.  The echelon at each j holds the words of length >= j in
+    `word_key` order, as a search over all 2^(d-1) words of degree d would
+    at that j, so the witness is the one such a search gives.
     """
     if not e.terms:
         return ValuationReport(INF, "ademWordLength", {"mDegree": 0})
@@ -73,11 +91,11 @@ def adem_valuation(e: OpElement) -> ValuationReport:
     d = e.degree()
     if d == 0:
         return ValuationReport(0, "ademWordLength", {"mDegree": 0})
-    words = words_of_degree(d)
+    words = sorted((w for r in (d - 1, d) for w in compositions(d, length=r)), key=word_key)
     *vecs, target = grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
     if not target:
         return ValuationReport(INF, "ademWordLength", {"mDegree": d})
-    for j in range(d, 0, -1):
+    for j in (d, d - 1):
         ech = linalg.SparseEchelon()
         for w, vec in zip(words, vecs):
             if len(w) >= j:
@@ -85,8 +103,10 @@ def adem_valuation(e: OpElement) -> ValuationReport:
         combo = ech.membership(target)
         if combo is not None:
             witness = OpElement({w: c for w, c in combo.items() if c != 0})
+            if not equal_by_evaluation(witness, e, n_vars=1):
+                raise VerificationError(f"adem witness of {format_op(e)} fails evaluation")
             return ValuationReport(j, "ademWordLength", {"mDegree": d}, witness)
-    raise DomainError("element of positive degree outside the span of its own words")
+    raise VerificationError(f"{format_op(e)} is outside the span of its {d} long words")
 
 
 def ker_phi_membership(e: OpElement) -> bool:

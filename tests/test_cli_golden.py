@@ -53,6 +53,8 @@ BASE_CASES = [
     (["norm", "--which", "adem", "--op", "0"], None),
     # a relation: zero on one variable, so inf like the zero element
     (["norm", "--which", "adem", "--op", "3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1"], None),
+    # degree 20: decided by 20 words, where all words of degree 20 number 2^19
+    (["norm", "--which", "adem", "--op", "Jq20"], None),
     (["norm", "--which", "ker", "--op", "Jq2.Jq1 - Jq1.Jq2"], None),
     (["norm", "--which", "ker", "--op", "0"], None),
     # j = 2: the only case that reaches the kernel-power loop past its first step

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jqforge import norms
+from jqforge import linalg, norms
 from jqforge.action import element_image
 from jqforge.errors import DomainError
 from jqforge.norms import (
@@ -14,8 +14,9 @@ from jqforge.norms import (
     ker_phi_membership,
     operator_norm_estimate,
 )
-from jqforge.opalg import OpElement, compositions, equal_by_evaluation, parse_op
+from jqforge.opalg import OpElement, compositions, equal_by_evaluation, parse_op, word_key
 from jqforge.poly import monomials_upto
+from jqforge.relations import adem_nullspace, grid_vectors
 from jqforge.scalar2 import INF, scale_to_ints, v2_int
 
 F = Fraction
@@ -85,6 +86,93 @@ def test_adem_valuation_of_a_relation_is_infinite(text):
     rep = adem_valuation(e)
     assert rep.value is INF and rep.norm == 0 and rep.witness is None
     assert rep.bounds == {"mDegree": e.degree()}
+
+
+def _long_words(d):
+    """The degree-d words of length d - 1 and d, in word order."""
+    return sorted((w for r in (d - 1, d) for w in compositions(d, length=r)), key=word_key)
+
+
+def test_the_long_words_span_every_one_variable_image():
+    # the gauge's theorem: d words, and the space of one-variable images has dimension d
+    for d in range(1, 31):
+        words = _long_words(d)
+        assert len(words) == d
+        ech = linalg.SparseEchelon()
+        for w, vec in zip(words, grid_vectors([{w: 1} for w in words], monomials_upto(1, d))):
+            ech.insert(vec, w)
+        assert ech.rank == d
+
+
+def test_adem_valuation_builds_vectors_for_the_long_words_only(monkeypatch):
+    built = []
+
+    def spy(elements, mus):
+        built.append([next(iter(e)) for e in elements[:-1]])
+        return grid_vectors(elements, mus)
+
+    monkeypatch.setattr(norms, "grid_vectors", spy)
+    for d in (1, 2, 5, 9):
+        adem_valuation(OpElement.jq(d))
+        assert built[-1] == _long_words(d)
+
+
+def test_adem_valuation_of_jq40():
+    # a pool of all 2^39 words of degree 40 would never finish
+    e = OpElement.jq(40)
+    rep = adem_valuation(e)
+    assert rep.value == 39 and rep.bounds == {"mDegree": 40}
+    assert all(len(w) >= 39 for w in rep.witness.terms)
+    assert equal_by_evaluation(rep.witness, e, n_vars=1)
+
+
+def _full_pool_valuation(e):
+    """The gauge by a search over all 2^(d-1) words of degree d, j descending."""
+    if not e.terms:
+        return ValuationReport(INF, "ademWordLength", {"mDegree": 0})
+    d = e.degree()
+    if d == 0:
+        return ValuationReport(0, "ademWordLength", {"mDegree": 0})
+    words = sorted(compositions(d), key=word_key)
+    *vecs, target = grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
+    if not target:
+        return ValuationReport(INF, "ademWordLength", {"mDegree": d})
+    for j in range(d, 0, -1):
+        ech = linalg.SparseEchelon()
+        for w, vec in zip(words, vecs):
+            if len(w) >= j:
+                ech.insert(vec, w)
+        combo = ech.membership(target)
+        if combo is not None:
+            witness = OpElement({w: c for w, c in combo.items() if c != 0})
+            return ValuationReport(j, "ademWordLength", {"mDegree": d}, witness)
+    raise AssertionError("no level spans the element")
+
+
+def _seeded_homogeneous_element(rng):
+    """Degree 1-8: random words, or c*Jq1^d plus a one-variable relation."""
+    d = rng.randint(1, 8)
+    words = list(compositions(d))
+    coeff = F(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 4, 5, 8, 9, 15]))
+    if len(words) > d and rng.random() < 0.3:
+        relation = adem_nullspace(d, rng.sample(words, d + 1))
+        terms = dict(zip(relation.words, map(F, relation.basis[0])))
+        if rng.random() < 0.7:
+            terms[(1,) * d] = terms.get((1,) * d, 0) + coeff
+        return OpElement(terms)
+    return OpElement({w: coeff * rng.randint(1, 5) for w in rng.sample(words, min(len(words), 4))})
+
+
+def test_adem_valuation_matches_the_full_pool_search():
+    rng = random.Random(26)
+    elements = [_seeded_homogeneous_element(rng) for _ in range(200)]
+    values = []
+    for e in elements:
+        rep = adem_valuation(e)
+        assert rep.json_obj() == _full_pool_valuation(e).json_obj()
+        values.append("inf" if rep.value == INF else e.degree() - rep.value)
+    # every case the theorem allows: inf, d (0 below d) and d - 1
+    assert values.count("inf") > 5 and values.count(0) > 20 and values.count(1) > 100
 
 
 def test_ker_phi_membership():

@@ -91,3 +91,46 @@ def test_wrong_series_step_is_caught_under_optimize():
     assert out["geometric"] == "VerificationError: geometric inverse of Jq1 fails its residual check"
     assert out["exit"] == 5
     assert stderr == "error: geometric inverse of Jq1 fails its residual check\n"
+
+
+# The one-variable Adem gauge: a wrong combination from the echelon, and no
+# combination at all, which the gauge's theorem rules out.
+ADEM_SCRIPT = """
+import json
+from fractions import Fraction
+
+from jqforge import cli, linalg, norms
+from jqforge.errors import VerificationError
+from jqforge.opalg import OpElement
+
+
+def wrong_combination(self, target):
+    _, combo = next(iter(self.rows.values()))
+    return {next(iter(combo)): Fraction(1)}
+
+
+def no_combination(self, target):
+    return None
+
+
+out = {"debug": __debug__}
+for name, membership in [("wrong", wrong_combination), ("none", no_combination)]:
+    linalg.SparseEchelon.membership = membership
+    try:
+        norms.adem_valuation(OpElement.jq(3))
+        out[name] = "returned"
+    except VerificationError as exc:
+        out[name] = "VerificationError: " + str(exc)
+linalg.SparseEchelon.membership = wrong_combination
+out["exit"] = cli.main(["norm", "--which", "adem", "--op", "Jq3"])
+print(json.dumps(out))
+"""
+
+
+def test_wrong_adem_witness_is_caught_under_optimize():
+    out, stderr = run_optimized(ADEM_SCRIPT)
+    assert out["debug"] is False
+    assert out["wrong"] == "VerificationError: adem witness of Jq3 fails evaluation"
+    assert out["none"] == "VerificationError: Jq3 is outside the span of its 3 long words"
+    assert out["exit"] == 5
+    assert stderr == "error: adem witness of Jq3 fails evaluation\n"
