@@ -25,10 +25,9 @@ from .opalg import (
     equal_by_evaluation,
     format_op,
     phi_reduce,
-    word_key,
 )
 from .poly import Polynomial, format_poly, monomials_upto
-from .relations import grid_vectors, words_of_degree
+from .relations import grid_vectors
 from .scalar2 import INF, in_z2, scale_to_ints, v2, v2_int
 
 
@@ -81,8 +80,9 @@ def adem_valuation(e: OpElement) -> ValuationReport:
     d.  They span every image, so the value is d - 1 or more; it is d
     exactly when the image is a multiple of R, the image of the one word
     of length d.  The echelon at each j holds the words of length >= j in
-    `word_key` order, as a search over all 2^(d-1) words of degree d would
-    at that j, so the witness is the one such a search gives.
+    the order `compositions` yields them, as a search over all 2^(d-1)
+    words of degree d would at that j, so the witness is the one such a
+    search gives.
     """
     if not e.terms:
         return ValuationReport(INF, "ademWordLength", {"mDegree": 0})
@@ -91,7 +91,7 @@ def adem_valuation(e: OpElement) -> ValuationReport:
     d = e.degree()
     if d == 0:
         return ValuationReport(0, "ademWordLength", {"mDegree": 0})
-    words = sorted((w for r in (d - 1, d) for w in compositions(d, length=r)), key=word_key)
+    words = [w for r in (d - 1, d) for w in compositions(d, length=r)]
     *vecs, target = grid_vectors([{w: 1} for w in words] + [e.terms], monomials_upto(1, d))
     if not target:
         return ValuationReport(INF, "ademWordLength", {"mDegree": d})
@@ -122,7 +122,7 @@ def _kernel_lattice_generators(b: int):
     """
     if b == 0:
         return [OpElement({(): Fraction(2)})]
-    words = words_of_degree(b)
+    words = list(compositions(b))
     gens = [OpElement({w: Fraction(2)}) for w in words]
     images = [admissible_form(w) for w in words]
     for combo in linalg.f2_row_nullspace(images):

@@ -35,22 +35,30 @@ _WORD_RE = re.compile(r"^Jq(\d+)$")
 
 
 def compositions(d: int, length=None):
-    """Yield compositions of d, optionally restricted to a fixed length.
+    """Yield compositions of d in canonical word order, optionally of one length.
 
     A composition is an ordered tuple of positive integers summing to d.
     Those of length r are the exponent tuples of degree d - r in r
-    variables, each entry plus 1, in that order; lengths ascend.  d = 0
-    yields only the empty tuple (and only when length is 0 or None).
+    variables, each entry plus 1.  Lengths ascend, and within a length
+    the entries descend lexicographically (the exponent tuples read in
+    reverse), which is the `word_key` order.  This is the one place that
+    order is decided: every word set of the package is this sequence,
+    at most filtered, and none is sorted again.  d = 0 yields only the
+    empty tuple (and only when length is 0 or None).
     """
     if d < 0:
         raise DomainError("cannot compose a negative integer")
     for r in range(d + 1) if length is None else (length,):
-        for exps in monomials_of_degree(r, d - r):
+        for exps in reversed(list(monomials_of_degree(r, d - r))):
             yield tuple(e + 1 for e in exps)
 
 
 def word_key(w):
-    """Canonical sort key: degree, then length, then descending entries."""
+    """Canonical sort key: degree, then length, then descending entries.
+
+    `compositions` yields each degree in this order; the key sorts only
+    the words of an element or a classical sum for display.
+    """
     return (sum(w), len(w), tuple(-x for x in w))
 
 

@@ -1,5 +1,10 @@
 """Discovery of relations between operator words by exact linear algebra.
 
+Every word set here is `opalg.compositions` as it comes, at most
+filtered (to 1s and 2s, or to powers of two).  That generator alone
+decides the word order, which fixes the words each elimination keeps
+and so every printed answer.
+
 Two kinds of columns feed the eliminations.
 
 - Coordinates (`witt`).  Over Q the operator algebra is the enveloping
@@ -48,7 +53,6 @@ from .opalg import (
     equal_by_evaluation,
     format_op,
     format_word,
-    word_key,
 )
 from .poly import monomials_upto
 from .scalar2 import in_z2
@@ -66,23 +70,10 @@ def t_partition_words(k: int, t: int):
         raise DomainError("partition expansions start at degree 3")
     if not 2 <= t < k:
         raise DomainError("factor count must be between 2 and the degree minus one")
-    words = [(k,)] + sorted(compositions(k, length=t), key=word_key)
+    words = [(k,), *compositions(k, length=t)]
     if k == t + 1:
         words.append((1,) * k)
     return words
-
-
-def words_of_degree(d: int):
-    """All composite words of total degree d, canonically ordered."""
-    return sorted(compositions(d), key=word_key)
-
-
-def binary_partition_words(k: int):
-    """Compositions of k into powers of 2, canonically ordered."""
-    def is_pow2(x):
-        return x & (x - 1) == 0
-
-    return sorted((w for w in compositions(k) if all(is_pow2(p) for p in w)), key=word_key)
 
 
 class RelationBasis:
@@ -172,7 +163,7 @@ def q12_decompose(k: int) -> OpElement:
     """
     if k < 1:
         raise DomainError("k must be positive")
-    words = [w for w in words_of_degree(k) if all(p in (1, 2) for p in w)]
+    words = [w for w in compositions(k) if set(w) <= {1, 2}]
     *cols, target = witt.word_coordinates(words + [(k,)])
     ech = linalg.SparseEchelon()
     for w, col in zip(words, cols):
@@ -217,7 +208,7 @@ def binary_decompose(k: int) -> OpElement:
         raise DomainError("k must be positive")
     if k & (k - 1) == 0:
         raise IndecomposableError(f"the degree-{k} generator is not decomposable this way")
-    words = binary_partition_words(k)
+    words = [w for w in compositions(k) if all(p & (p - 1) == 0 for p in w)]
     *cols, target = witt.word_coordinates(words + [(k,)])
     combo = linalg.Z2Lattice(zip(words, cols)).contains(target)
     if combo is None:
@@ -258,7 +249,7 @@ def rank_estimate(d: int, n_vars: int = 3) -> int:
     """
     if d < 1:
         raise DomainError("degree must be positive")
-    basis = [w for w, _ in _independent(words_of_degree(d))]
+    basis = [w for w, _ in _independent(list(compositions(d)))]
     ech = linalg.SparseEchelon()
     for i, mu in enumerate(monomials_upto(n_vars, d + 2)):
         rows = {}
@@ -299,11 +290,11 @@ def ore_solve(theta: OpElement, eta: OpElement, set_x=None, set_y=None):
         if set_x is not None:
             wx = [tuple(w) for w in set_x]
         else:
-            wx = words_of_degree(p + q + step)
+            wx = list(compositions(p + q + step))
         if set_y is not None:
             wy = [tuple(w) for w in set_y]
         else:
-            wy = words_of_degree(2 * p + step)
+            wy = list(compositions(2 * p + step))
         if not wx or not wy:
             raise DomainError("word sets must be nonempty")
         dx = {sum(w) for w in wx}
@@ -347,20 +338,3 @@ def _ore_attempt(theta, eta, coords, wx, wy):
             raise VerificationError(f"common multiple fails evaluation: x = {format_op(x)}")
         return x, y
     return None
-
-
-def fraction_add(a: OpElement, b_inv: OpElement, c: OpElement, d_inv: OpElement):
-    """Sum of two right fractions a*b^{-1} + c*d^{-1} over a common denominator.
-
-    Solves b*d1 = d*b1 by the Ore search, with its default verification,
-    and returns the pair (a*d1 + c*b1, b*d1).  Zero numerators
-    short-circuit.
-    """
-    if not b_inv.terms or not d_inv.terms:
-        raise DomainError("denominators must be nonzero")
-    if not a.terms:
-        return c, d_inv
-    if not c.terms:
-        return a, b_inv
-    d1, b1 = ore_solve(b_inv, d_inv)
-    return a * d1 + c * b1, b_inv * d1

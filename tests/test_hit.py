@@ -19,8 +19,8 @@ from jqforge.hit import (
     module_adem_filtration,
 )
 from jqforge.linalg import Z2Lattice
+from jqforge.opalg import compositions
 from jqforge.poly import Polynomial, format_poly, monomials_of_degree, monomials_upto, parse_poly
-from jqforge.relations import words_of_degree
 from jqforge.scalar2 import INF, v2
 
 from f2_oracle import sq_on_f2
@@ -212,7 +212,7 @@ def _word_pool_filtration(f):
             ((w, mu), col)
             for b in range(j, d)
             for mu in monomials_of_degree(f.arity, d - b)
-            for w in words_of_degree(b)
+            for w in compositions(b)
             if len(w) >= j
             for col in word_images([w], mu)
             if col

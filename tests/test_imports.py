@@ -10,18 +10,20 @@ appear so in that function.  `__init__.py` is exempt, because its
 imports are the package's re-exports.  Only `action` itself may reach
 the cached per-monomial image `monomial_image`; every other module acts
 through `word_images`, `element_image` or `apply_element`, so that there
-is one path from words to polynomials.  A top-level `def _name` or
-`class _Name` must be referenced, as a name or an attribute, outside its
-own body in some module of the package; one that only tests reach is
-dead code.  The same holds for a public top-level `def` or `class`, except
-that an import in `__init__` or a use in a demo also counts, and a short
-keep-list names the ones waiting for a command.  A public method,
-classmethod or property of a top-level class must be used as an
-attribute of that name, outside its own body, in the package or a demo;
-there is no keep-list for members.  No package module imports a
-private `_name` from another; a helper two modules share is public.  The
-modules sit in layers, and a module imports only from the layers below
-its own, lazy imports inside functions included.
+is one path from words to polynomials.  Only `opalg` may refer to the
+canonical word order `word_key`: `opalg.compositions` yields every word
+set in that order, so no other module sorts words.  A top-level
+`def _name` or `class _Name` must be referenced, as a name or an
+attribute, outside its own body in some module of the package; one that
+only tests reach is dead code.  The same holds for a public top-level
+`def` or `class`, except that an import in `__init__` or a use in a demo
+also counts, and a short keep-list names the ones waiting for a command.
+A public method, classmethod or property of a top-level class must be
+used as an attribute of that name, outside its own body, in the package
+or a demo; there is no keep-list for members.  No package module imports
+a private `_name` from another; a helper two modules share is public.
+The modules sit in layers, and a module imports only from the layers
+below its own, lazy imports inside functions included.
 """
 
 import ast
@@ -104,6 +106,35 @@ def test_the_check_sees_an_import_of_the_monomial_image():
     assert importers(sources, "monomial_image") == ["hit", "norms"]
 
 
+def referrers(sources, name):
+    """Sorted modules that refer to name: by import, as a name or as an attribute."""
+    return sorted(
+        mod
+        for mod, src in sources.items()
+        if any(
+            isinstance(node, ast.alias) and node.name == name
+            or isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            for node in ast.walk(ast.parse(src))
+        )
+    )
+
+
+def test_only_opalg_refers_to_the_word_order():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert referrers(sources, "word_key") == ["opalg"]
+
+
+def test_the_check_sees_a_reference_to_the_word_order():
+    sources = {
+        "opalg": "def word_key(w):\n    return w\nprint(sorted([], key=word_key))\n",
+        "relations": "from .opalg import compositions, word_key as wk\n",
+        "norms": "from . import opalg\nprint(sorted([], key=opalg.word_key))\n",
+        "hit": "from .opalg import compositions\nprint(list(compositions(3)))\n",
+    }
+    assert referrers(sources, "word_key") == ["norms", "opalg", "relations"]
+
+
 def private_imports(sources):
     """(module, name) of each private `_name` a module imports from a package module.
 
@@ -129,7 +160,7 @@ def test_no_module_imports_a_private_name():
 
 def test_the_check_sees_a_private_import():
     sources = {
-        "norms": "from .relations import _grid_vectors, words_of_degree\n",
+        "norms": "from .relations import _grid_vectors, grid_vectors\n",
         "golden": "def f():\n    from jqforge.series import _coefficient_equations as ce\n",
         "__init__": "from .poly import Polynomial\n__all__ = ['__version__']\n",
         "cli": "from __future__ import annotations\nfrom functools import _lru_cache_wrapper\n",
@@ -216,7 +247,6 @@ def unreferenced_public_definitions(sources, demos):
 
 # public definitions that only tests reach today, each with the caller it waits for
 KEEP_PUBLIC = {
-    ("relations", "fraction_add"): "the Ore localization, for an `ore` option on fractions",
     ("hit", "classical_hit"): "the F_2 hit test, to check an n-variable `cohit` against",
 }
 
@@ -349,7 +379,7 @@ def test_the_check_sees_an_upward_import():
     sources = {
         "action": "from .poly import Polynomial\ndef f():\n    from .series import g\n",
         "witt": "from . import linalg, scalar2\n",
-        "hit": "from . import linalg\ndef f():\n    from .relations import words_of_degree\n",
+        "hit": "from . import linalg\ndef f():\n    from .relations import q12_decompose\n",
     }
     assert layering_violations(sources) == [
         ("action", "series"), ("hit", "relations"), ("witt", "linalg")

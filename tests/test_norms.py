@@ -149,10 +149,15 @@ def _full_pool_valuation(e):
     raise AssertionError("no level spans the element")
 
 
+def _seed_order(d):
+    """The words of degree d in the order compositions yielded when the seeds below were chosen."""
+    return sorted(compositions(d), key=lambda w: (len(w), w))
+
+
 def _seeded_homogeneous_element(rng):
     """Degree 1-8: random words, or c*Jq1^d plus a one-variable relation."""
     d = rng.randint(1, 8)
-    words = list(compositions(d))
+    words = _seed_order(d)
     coeff = F(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 4, 5, 8, 9, 15]))
     if len(words) > d and rng.random() < 0.3:
         relation = adem_nullspace(d, rng.sample(words, d + 1))
@@ -282,7 +287,7 @@ def _seeded_element(rng):
     degrees = [d] + [rng.randint(0, d) for _ in range(rng.randint(0, 2))]
     terms = {}
     for k in degrees:
-        for w in rng.sample(list(compositions(k)), min(2, 2 ** max(k - 1, 0))):
+        for w in rng.sample(_seed_order(k), min(2, 2 ** max(k - 1, 0))):
             odd = F(rng.choice([1, -1, 3, -5]), rng.choice([1, 3, 5]))
             terms[w] = terms.get(w, 0) + odd * 2 ** rng.randint(0, 3)
     if rng.random() < 0.3:

@@ -11,20 +11,17 @@ from hypothesis import strategies as st
 from jqforge import linalg, relations, witt
 from jqforge.action import element_image
 from jqforge.errors import DomainError, IndecomposableError, NotFoundError
-from jqforge.opalg import OpElement, equal_by_evaluation, eval_element, format_op, parse_op
+from jqforge.opalg import OpElement, compositions, equal_by_evaluation, eval_element, format_op, parse_op
 from jqforge.poly import Polynomial, monomials_upto, parse_poly
 from jqforge.relations import (
     RelationBasis,
     adem_nullspace,
     binary_decompose,
-    binary_partition_words,
-    fraction_add,
     in_relation_span,
     ore_solve,
     q12_decompose,
     rank_estimate,
     t_partition_words,
-    words_of_degree,
 )
 
 
@@ -39,9 +36,10 @@ def test_two_partition_words():
 
 
 def test_binary_partition_words():
-    assert binary_partition_words(3) == [(2, 1), (1, 2), (1, 1, 1)]
-    assert (4, 2, 1) in binary_partition_words(7)
-    assert all(p in (1, 2, 4) for w in binary_partition_words(7) for p in w)
+    # binary_decompose's word set: the compositions into powers of two
+    words = [w for w in compositions(7) if all(p & (p - 1) == 0 for p in w)]
+    assert (4, 2, 1) in words and (3, 4) not in words
+    assert set(binary_decompose(7).terms) <= set(words)
 
 
 def test_degree_three_nullspace_exact():
@@ -219,25 +217,6 @@ def test_ore_solve_errors():
         ore_solve(zero, OpElement.jq(1))
 
 
-def test_fraction_add_common_denominator():
-    a, b = OpElement.jq(1), OpElement.jq(2)
-    c = OpElement.jq(3)
-    num, den = fraction_add(a, b, c, b)
-    # one denominator: the Ore step solves b*x = b*y, here with x = y = Jq4,
-    # so a*b^-1 + c*b^-1 = (a*x + c*x)*(b*x)^-1
-    x, y = ore_solve(b, b)
-    assert x == y
-    assert num == a * x + c * x
-    assert den == b * x
-
-
-def test_fraction_add_zero_numerators():
-    a, b = OpElement.jq(1), OpElement.jq(2)
-    z = OpElement.zero()
-    assert fraction_add(z, b, a, b) == (a, b)
-    assert fraction_add(a, b, z, b) == (a, b)
-
-
 def test_rank_estimate_small_degrees():
     assert rank_estimate(1) == 1
     assert rank_estimate(2) == 2
@@ -247,8 +226,8 @@ def test_rank_estimate_small_degrees():
 def test_rank_estimate_degree_four():
     # 8 words in degree 4; the relation count grows with degree
     r = rank_estimate(4)
-    assert 1 <= r <= len(words_of_degree(4))
-    assert r < len(words_of_degree(4))
+    assert 1 <= r <= len(list(compositions(4)))
+    assert r < len(list(compositions(4)))
 
 
 def test_relation_basis_json_deterministic():
@@ -411,7 +390,7 @@ def _symbolic_and_pair_columns(elements, d):
 def one_degree_elements(draw):
     """A degree d <= 9 and elements of degree d, some of them combinations of others."""
     d = draw(st.integers(1, 9))
-    word = st.sampled_from(words_of_degree(d))
+    word = st.sampled_from(list(compositions(d)))
     coeff = st.sampled_from([1, -1, 2, 3, F(1, 2), F(-2, 3)])
     elements = draw(st.lists(st.dictionaries(word, coeff, min_size=1, max_size=3), min_size=1, max_size=8))
     for _ in range(draw(st.integers(0, 2))):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from jqforge import witt
 from jqforge.action import element_image, word_images
+from jqforge.opalg import compositions
 from jqforge.poly import monomials_upto
-from jqforge.relations import words_of_degree
 
 F = Fraction
 
@@ -73,7 +73,7 @@ def test_each_operation_is_its_generator_on_the_grid():
 @st.composite
 def words(draw):
     d = draw(st.integers(1, 8))
-    return draw(st.lists(st.sampled_from(words_of_degree(d)), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(list(compositions(d))), min_size=1, max_size=4))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
