@@ -15,6 +15,12 @@ command's own algebra.  So the module imports only the standard library,
 package modules it calls at the top of its own body: `hit` loads
 `hit` and `linalg`, never `opalg`, `relations`, `norms`, `series` or
 `golden`.
+Exit is the same kind of fixed cost: tearing the interpreter down frees
+every object and module one by one after the answer is already written.
+So `run`, which `python -m jqforge.cli` and the installed `jqforge`
+command both call, runs the `atexit` handlers, flushes stdout and
+stderr, and leaves by `os._exit` (as mypy and multiprocessing children
+do).  `main` itself only returns the code, so it can be called in process.
 
 Every run resolves an effective config: the defaults, then an optional
 key=value file named by JQFORGE_CONFIG, then flags.  The six keys are
@@ -34,11 +40,14 @@ solution, 5 a computed answer failed its own verification
 (VerificationError).  70 internal error: any other exception, reported as
 one "internal error: <Type>: <message>" line on stderr (70 is EX_SOFTWARE
 in sysexits.h).  verify-paper exits 1 when its payload counts FAIL rows.
+120: the output could not be written, say to a closed pipe; no traceback
+is printed (120 is what CPython exits with when its final flush fails).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -466,5 +475,29 @@ def main(argv=None):
     return 1 if payload.get("counts", {}).get("FAIL") else 0
 
 
+def run():
+    """main on sys.argv, then leave the process without tearing the interpreter down.
+
+    os._exit skips the rest of a normal shutdown: no thread is joined and
+    no file object but stdout and stderr is flushed or closed.  That is
+    safe only while the CLI starts no threads and leaves no other file
+    open with unwritten data, which holds for every command today.
+    atexit._run_exitfuncs is private to CPython; tests/test_startup.py
+    fails if it goes away.
+    """
+    try:
+        code = main()
+    except OSError:  # main catches every other error, so this one is from writing the answer
+        code = 120
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the process started with the fd closed
+                stream.flush()
+        except OSError:
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

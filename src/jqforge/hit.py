@@ -13,6 +13,19 @@ handed back.  The module filtration by powers of the positive-degree
 ideal, whose first level is the hit decision, recurses on lattice bases:
 level j in degree b is spanned by the images Jq^k(g) of the basis rows g
 of level j - 1 in degree b - k, so no operator word is listed.
+
+Only the power-of-two operations are needed, wherever each Jq^k is a
+combination of words in the letters Jq^(2^a).  Such a word applies some
+Jq^(2^a) last, to a polynomial, so Jq^k of an integral polynomial is a
+Z_(2) sum of Jq^(2^a) of integral polynomials, each 2^a below k, under
+any cap too: about log2 d indices do the work of d / 2.  Mod 2 this
+holds for every k, because the Sq^(2^a) generate the Steenrod algebra
+(Adem's relations; Steenrod and Epstein, Cohomology Operations), so the
+F_2 refusal always uses power-of-two columns.  Over Z_(2) it is what
+`relations.binary_decompose(k)` proves, one k at a time, and that is
+certified for every k <= _CERTIFIED = 15.  So the lattice takes the
+powers of two and every index above 15, in every degree and under every
+cap.  No power of two can be dropped: Sq^(2^a) is indecomposable mod 2.
 """
 
 from __future__ import annotations
@@ -124,11 +137,26 @@ def hit_decide_graded(f: Polynomial, precision_j=None):
     return True, cert
 
 
+# every k <= 15 that is not a power of two has a Z_(2) combination of
+# power-of-two words equal to Jq^k: binary_decompose finds it, and
+# tests/test_hit.py checks one for each such k
+_CERTIFIED = 15
+
+
+def _is_power(k):
+    return k & (k - 1) == 0
+
+
+def _indices(top):
+    """The operator indices 1 <= k < top whose images span those of every such k."""
+    return [k for k in range(1, top) if _is_power(k) or k > _CERTIFIED]
+
+
 def _columns(arity, d, top):
-    """Nonzero generators ((i, mu), Jq^i(x^mu)), 1 <= i < top and |mu| = d - i."""
+    """Nonzero generators ((i, mu), Jq^i(x^mu)), |mu| = d - i, for the i < top in _indices."""
     return [
         ((i, mu), col)
-        for i in range(1, top)
+        for i in _indices(top)
         for mu in monomials_of_degree(arity, d - i)
         for col in word_images([(i,)], mu)
         if col
@@ -136,9 +164,9 @@ def _columns(arity, d, top):
 
 
 def _images(bases, b):
-    """Generators ((k, i), Jq^k(g)), 1 <= k <= b, g the i-th int row of bases[b - k]."""
+    """Generators ((k, i), Jq^k(g)), k <= b in _indices, g the i-th int row of bases[b - k]."""
     gens = []
-    for k in range(1, b + 1):
+    for k in _indices(b + 1):
         for i, g in enumerate(bases[b - k]):
             col = {}
             for mu, c in g.items():
@@ -149,8 +177,12 @@ def _images(bases, b):
 
 
 def _in_f2_span(gens, f):
-    """Whether f mod 2 lies in the F_2 span of the int columns mod 2."""
-    cols = [{e for e, c in col.items() if c & 1} for _, col in gens]
+    """Whether f mod 2 lies in the F_2 span of the int columns mod 2.
+
+    Only the columns of power-of-two operations are read: mod 2 they span
+    the rest in every degree.
+    """
+    cols = [{e for e, c in col.items() if c & 1} for (k, _), col in gens if _is_power(k)]
     target = {e for e, c in f.terms.items() if c.numerator & 1}
     null = linalg.f2_row_nullspace(cols + [target])
     return bool(null) and null[-1][-1] == len(cols)

@@ -1,13 +1,15 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jqforge import hit
+from jqforge import hit, relations, witt
 from jqforge.action import apply_jq, apply_word, word_images
 from jqforge.errors import DomainError
 from jqforge.hit import (
@@ -21,7 +23,7 @@ from jqforge.hit import (
 from jqforge.linalg import Z2Lattice
 from jqforge.opalg import compositions
 from jqforge.poly import Polynomial, format_poly, monomials_of_degree, monomials_upto, parse_poly
-from jqforge.scalar2 import INF, v2
+from jqforge.scalar2 import INF, in_z2, v2
 
 from f2_oracle import sq_on_f2
 
@@ -364,6 +366,107 @@ def test_refused_mod_2():
         with mock.patch.object(hit.linalg, "Z2Lattice", wraps=Z2Lattice) as lattice:
             assert not hit_decide_graded(f)[0]
         assert lattice.called != refused
+
+
+DECOMPOSITIONS = Path(__file__).parent / "data" / "binary_decompositions.json"
+
+
+def test_binary_decompose_certifies_the_power_of_two_columns():
+    # the Z_(2) lattice drops the column of each k <= hit._CERTIFIED that is
+    # not a power of two, because Jq^k is a Z_(2) combination of power-of-two
+    # words: binary_decompose is rerun for k <= 12, and for 13, 14 and 15
+    # (minutes each) its results are stored and checked here in coordinates,
+    # which determine an element of the algebra
+    certified = set()
+    for k in range(3, 13):
+        if k & (k - 1):
+            out = relations.binary_decompose(k)
+            assert all(letter & (letter - 1) == 0 for word in out.terms for letter in word)
+            certified.add(k)
+    for k, terms in json.loads(DECOMPOSITIONS.read_text()).items():
+        words = [tuple(w) for w, _ in terms]
+        coeffs = [F(c) for _, c in terms]
+        assert all(letter & (letter - 1) == 0 for word in words for letter in word)
+        assert all(in_z2(c) for c in coeffs)
+        total = {}
+        for c, coords in zip(coeffs, witt.word_coordinates(words)):
+            for m, v in coords.items():
+                total[m] = total.get(m, 0) + c * v
+        assert {m: v for m, v in total.items() if v} == witt.E(int(k))
+        certified.add(int(k))
+    assert certified == {k for k in range(1, hit._CERTIFIED + 1) if k & (k - 1)}
+
+
+def full_columns(arity, d, top):
+    """Every generator ((i, mu), Jq^i(x^mu)), 1 <= i < top and |mu| = d - i: the reference."""
+    return [
+        ((i, mu), col)
+        for i in range(1, top)
+        for mu in monomials_of_degree(arity, d - i)
+        for col in word_images([(i,)], mu)
+        if col
+    ]
+
+
+def _full_column_decision(f, cap):
+    """Verdict and witness_json of the lattice over every column i below the cap."""
+    d = f.degree()
+    top = d if cap is None else min(d, cap + 1)
+    combo = Z2Lattice(full_columns(f.arity, d, top)).contains(f.terms)
+    if combo is None:
+        return False, None
+    grouped = {}
+    for (i, mu), c in combo.items():
+        grouped.setdefault(i, {})[mu] = c
+    pairs = [(i, Polynomial(f.arity, terms)) for i, terms in sorted(grouped.items())]
+    return True, HitCertificate(pairs).witness_json()
+
+
+def _lattice_shape_inputs(seed, shapes, image_indices):
+    """Per shape, a unit input on six monomials and a sum of images Jq^i(g_i)."""
+    rng = random.Random(seed)
+    out = []
+    for n, d in shapes:
+        support = rng.sample(list(monomials_of_degree(n, d)), 6)
+        out.append(Polynomial(n, {mu: F(rng.choice((-3, -1, 1, 3, 5, 7))) for mu in support}))
+        f = Polynomial.zero(n)
+        for i in image_indices(d):
+            for mu in rng.sample(list(monomials_of_degree(n, d - i)), 2):
+                f = f + apply_jq(i, Polynomial(n, {mu: F(rng.choice((-1, 1)) * rng.randint(1, 9))}))
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize(
+    "shapes, image_indices, caps",
+    [
+        # below the bound: power-of-two columns only
+        (((3, 13), (4, 9), (2, 29)), lambda d: range(1, min(d // 2, 8) + 1), (None, 3, 6)),
+        # above it: the powers of two and every index from 16 up
+        (((2, 34),), lambda d: (1, 3, 6, 16, d // 2), (None, 20)),
+    ],
+    ids=["below-the-bound", "above-the-bound"],
+)
+def test_power_of_two_columns_give_the_full_column_answers(shapes, image_indices, caps):
+    verdicts = []
+    for seed in range(3):
+        for f in _lattice_shape_inputs(seed, shapes, image_indices):
+            for cap in caps:
+                ok, cert = hit_decide_graded(f, precision_j=cap)
+                got = (ok, cert.witness_json() if cert else None)
+                assert got == _full_column_decision(f, cap), (format_poly(f), cap)
+                verdicts.append(ok)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_the_spike_is_refused_mod_2():
+    f = parse_poly("x1^7*x2^7*x3^7", 3)
+    with mock.patch.object(hit.linalg, "Z2Lattice", wraps=Z2Lattice) as lattice:
+        assert hit_decide_graded(f) == (False, None)
+    assert not lattice.called
+    # outside the F_2 span of every column, not only of the power-of-two ones
+    full = [{e for e, c in col.items() if c & 1} for _, col in full_columns(3, 21, 11)]
+    assert _f2_rank(full + [set(f.terms)]) == _f2_rank(full) + 1
 
 
 def _f2_rank(rows):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from jqforge import hit, linalg
 from jqforge.scalar2 import in_z2, v2
 
+from test_hit import full_columns
+
 PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
 
 # mostly zeros, so that pivots are missing and rows must be swapped
@@ -328,10 +330,13 @@ def test_tall_z2_lattice_matches_the_fraction_elimination(gens, coeffs, other):
 
 
 def test_z2_lattice_of_hit_columns_matches_the_fraction_elimination():
-    # the columns Jq^i(x^mu), |mu| = 7 - i, that decide hits in degree 7 over 3 variables
-    gens = hit._columns(3, 7, 7)
-    coeffs = [(-1) ** t * (t % 5) for t in range(len(gens))]
-    _assert_matches_the_fraction_elimination(gens, coeffs, {(3, 2, 2): 1, (7, 0, 0): 3})
+    # the columns Jq^i(x^mu), |mu| = 7 - i, that decide hits in degree 7 over 3
+    # variables: for every i, and for the powers of two that hit._columns keeps
+    powers = hit._columns(3, 7, 7)
+    assert {i for (i, _), _ in powers} == {1, 2}
+    for gens in (full_columns(3, 7, 7), powers):
+        coeffs = [(-1) ** t * (t % 5) for t in range(len(gens))]
+        _assert_matches_the_fraction_elimination(gens, coeffs, {(3, 2, 2): 1, (7, 0, 0): 3})
 
 
 def _fraction_gauss_jordan(mat, ncols):
