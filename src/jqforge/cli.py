@@ -363,8 +363,23 @@ def _text_verify_paper(p):
     return lines + [f"{c['PASS']} pass, {c['DIVERGES']} diverge, {c['FAIL']} fail"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a help, usage or error message it cannot write raises.
+
+    argparse's `_print_message` swallows the OSError, so help sent to a
+    closed stdout would exit 0 with nothing written; raised, the error
+    reaches `run`, which exits 120.  Subparsers take this class too.
+    tests/test_startup.py fails if argparse stops calling the method.
+    """
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:  # None when the process started with the fd closed
+            file.write(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jqforge",
         description="Exact dyadic Steenrod algebra calculator.",
         allow_abbrev=False,

@@ -234,7 +234,7 @@ def module_adem_filtration(f: Polynomial) -> int:
     bases = {b: [{mu: 1} for mu in monomials_of_degree(f.arity, b)] for b in range(d)}
     j = 0
     while _membership(_images(bases, d), f) is not None:
-        bases = {b: [r for _, r, _ in linalg.Z2Lattice(_images(bases, b)).basis] for b in range(d)}
+        bases = {b: [r for _, r in linalg.Z2Lattice(_images(bases, b)).basis] for b in range(d)}
         j += 1
     return j
 

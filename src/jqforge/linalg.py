@@ -6,11 +6,11 @@ its denominators, a nonzero multiple of itself, so its zero pattern, and
 with it every pivot choice, is that of elimination over Fractions;
 Fractions are built only for what is returned.
 
-Rows are dicts keyed by orderable column ids, and each stored row has
-its combination over the tags of the original rows.  `_step`, row <-
-u*row - a*other with u and a in lowest terms, is the row operation of
-both cores: `SparseEchelon` applies it alike to rows and combinations
-(`_scale_sub`), `Z2Lattice` to rows alone, logging it (`_eliminate`).
+Rows are dicts keyed by orderable column ids.  `_step`, row <- u*row -
+a*other with u and a in lowest terms, is the row operation of both
+cores: `SparseEchelon` applies it alike to rows and to their
+combinations over the tags of the original rows (`_scale_sub`),
+`Z2Lattice` to rows alone, logging it (`_eliminate`).
 
 Over Q: `SparseEchelon`, incremental, pivoting on the least column.  It
 is the one rational core: `nullspace` of sparse columns, `solve_affine`
@@ -19,9 +19,10 @@ first equation that contradicts those before it), and span membership.
 
 Over Z_(2): `Z2Lattice` works in batch and pivots on the least (2-adic
 valuation, column) over the whole pool, so that every step is
-invertible over Z_(2) and the lattice is kept exactly.  Its rows are
-eliminated alone; a row's combination is replayed from its logged steps
-only when the row becomes a pivot, since most rows end as zero.
+invertible over Z_(2) and the lattice is kept exactly.  It keeps rows
+and their logs alone: `contains` needs one combination, the weighted
+sum of the pivots' combinations, and gets it by running the logs
+backward from the last pivot to the first (the transposition principle).
 
 Over F_2: `f2_row_nullspace`, an echelon on bitmasks.
 
@@ -253,35 +254,14 @@ def _eliminate(row, u, a, brow, log, j):
     return v, min(k for k, x in row.items() if x >> v & 1)
 
 
-def _replay(combo, log, basis):
-    """Follow a row's logged steps on its combination, in place; returns m.
-
-    m is odd, and the combination sums to m times the row: a step
-    (u, a, j, g), with C the combination of pivot j in basis, sends it to
-    u*combo - m*a*C, which sums to m*g times the new row.  The pair stays
-    a unit multiple of the one built by eliminating row and combination
-    together, so the zero patterns, and with them the keys' insertion
-    order, are the same.
-    """
-    m = 1
-    for u, a, j, g in log:
-        if u != 1:
-            for k in combo:
-                combo[k] *= u
-        _sub(combo, m * a, basis[j][2])
-        m *= g
-    return m
-
-
 class Z2Lattice:
     """Span of generator rows over the 2-adic integers, with membership tests.
 
     Generators are (tag, dict row of ints and Fractions) pairs; their tags
-    must be distinct (ValueError otherwise), for the combinations are kept
-    over tags.  Construction is fraction-free.  Rows are scaled once to
-    ints: all by 2^T, T the largest 2-adic valuation of a row's
-    denominator lcm, and each by the odd part of its own lcm, which starts
-    its combination.
+    must be distinct (ValueError otherwise), for `contains` answers over
+    tags.  Construction is fraction-free.  Rows are scaled once to ints:
+    all by 2^T, T the largest 2-adic valuation of a row's denominator lcm,
+    and each by s, the odd part of its own lcm.
     The pivot p = 2^v*u (u odd) is the entry of least (valuation, column),
     ties to the earliest row, read from a key each row caches and
     recomputes only when a step changes it.  Every other entry a in the
@@ -291,17 +271,21 @@ class Z2Lattice:
     move the (valuation, column) keys.  Lattice and pivot order are those
     of elimination over Fractions.
 
-    Pool rows are eliminated alone, and each logs its steps; most of them
-    end as zero and never need a combination.  A row that becomes a pivot
-    replays its log against the earlier pivots' combinations (`_replay`),
-    and the pair is divided by its joint content, which is odd: the row's
-    own tag keeps an odd coefficient, since no earlier pivot's combination
-    holds that tag.
+    Rows are eliminated alone, each logging its steps (`_eliminate`), and
+    a row that becomes a pivot is kept as it stands, with its tag, s and
+    log.  These define its combination C over the tags: s*[tag] at the
+    start, then (u*C - a*C_j)/g for each logged step (u, a, j, g), C_j
+    the combination of pivot j, an earlier one; C sums to the row as
+    `basis` holds it.  The answers do not depend on this scale.
+    Eliminating each row together with its combination, and dividing the
+    pair by its joint content, would give every pivot's (row, C) times a
+    unit of Z_(2), the same pivots in the same order, and multipliers
+    divided by the same units: the same products multiplier * C, so the
+    same coefficients from `contains`.
 
-    `basis` lists (column, row, combination) in pivot order.  Each row is
-    a unit multiple of the row elimination over Fractions gives, in the
-    generators' own scale (ints when T = 0, as for integral rows); the
-    combinations have int coefficients over the original tags.
+    `basis` lists (column, row) in pivot order.  Each row is a unit
+    multiple of the row elimination over Fractions gives, in the
+    generators' own scale (ints when T = 0, as for integral rows).
     """
 
     def __init__(self, generators):
@@ -315,44 +299,39 @@ class Z2Lattice:
             shift = top - v2_int(den)
             if shift:
                 row = {k: x << shift for k, x in row.items()}
-            pool.append([_pivot_key(row), row, {tag: den >> v2_int(den)}, []])
+            pool.append([_pivot_key(row), row, [], tag, den >> v2_int(den)])
         self.basis = []
+        self._origins = []
         while pool:
             i = min(range(len(pool)), key=lambda j: pool[j][0])
-            (v, pos), brow, bcombo, log = pool.pop(i)
-            m = _replay(bcombo, log, self.basis)
-            if m != 1:
-                for k in brow:
-                    brow[k] *= m
-            g = gcd(*brow.values(), *bcombo.values())
-            if g != 1:
-                for k in brow:
-                    brow[k] //= g
-                for k in bcombo:
-                    bcombo[k] //= g
+            (v, pos), brow, log, tag, s = pool.pop(i)
             unit = brow[pos] >> v
             for entry in pool:
                 row = entry[1]
                 a = row.get(pos)
                 if a is not None:
-                    entry[0] = _eliminate(row, unit, a >> v, brow, entry[3], len(self.basis))
+                    entry[0] = _eliminate(row, unit, a >> v, brow, entry[2], len(self.basis))
             pool = [entry for entry in pool if entry[1]]
             if top:
                 brow = {k: Fraction(x, 1 << top) for k, x in brow.items()}
-            self.basis.append((pos, brow, bcombo))
+            self.basis.append((pos, brow))
+            self._origins.append((tag, s, log))
 
     def contains(self, target):
         """Z_2 coefficients over the original generator tags, or None.
 
-        Works down the triangular basis on Fractions; a multiplier of
-        negative valuation or a nonzero residual means the target is
-        outside the lattice.  A unit multiple of a basis row and its
-        combination divides the multiplier by the same unit, so the
-        coefficients do not depend on that scaling.
+        Works down the triangular basis on Fractions for a multiplier per
+        pivot; one of negative valuation, or a nonzero residual, means the
+        target is outside the lattice.  The multipliers then run back up
+        the logs, from the last pivot to the first (the transposed
+        elimination): a step (u, a, j, g) read backward divides the weight
+        by g, takes a times it from pivot j's and multiplies it by u, and
+        what reaches the start of the log, times s, is the coefficient of
+        the pivot's tag.  The nonzero ones come in basis order.
         """
         t = _nonzero(target)
-        coeffs = {}
-        for pos, brow, bcombo in self.basis:
+        weights = [0] * len(self.basis)
+        for p, (pos, brow) in enumerate(self.basis):
             val = t.get(pos)
             if val is None:
                 continue
@@ -360,10 +339,21 @@ class Z2Lattice:
             if v2(lam) < 0:
                 return None
             _sub(t, lam, brow)
-            _sub(coeffs, -lam, bcombo)
+            weights[p] = lam
         if t:
             return None
-        return coeffs
+        coeffs = []
+        for p in range(len(weights) - 1, -1, -1):
+            w = weights[p]
+            if not w:
+                continue
+            tag, s, log = self._origins[p]
+            for u, a, j, g in reversed(log):
+                w /= g
+                weights[j] -= a * w
+                w *= u
+            coeffs.append((tag, w * s))
+        return dict(reversed(coeffs))
 
 
 # -- F_2 --------------------------------------------------------------

@@ -132,7 +132,7 @@ def _kernel_lattice_generators(b: int):
 
 def _reduce_generators(gens):
     """A basis of the Z_(2) lattice that the coordinate vectors gens span."""
-    return [brow for _, brow, _ in linalg.Z2Lattice(enumerate(gens)).basis]
+    return [brow for _, brow in linalg.Z2Lattice(enumerate(gens)).basis]
 
 
 def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> ValuationReport:

@@ -142,8 +142,8 @@ def test_z2_lattice_contains_rebuilds_its_target_with_z2_coefficients(gens, coef
 
 
 def test_z2_lattice_refuses_repeated_tags():
-    # combinations are kept over tags, and dividing a row by its content is
-    # a unit step only while each pool row holds its own tag alone
+    # contains answers over tags, one coefficient per pivot's own tag: a
+    # repeated tag would keep one of the two generators' coefficients
     with pytest.raises(ValueError, match="distinct"):
         linalg.Z2Lattice([("a", {0: 2}), ("a", {0: 2, 1: 4})])
 
@@ -209,29 +209,31 @@ class _FractionZ2Lattice:
         for tag, row in generators:
             row = _nonzero(row)
             if row:
-                pool.append((row, {tag: Fraction(1)}))
+                pool.append((row, {tag: Fraction(1)}, tag))
         self.basis = []
+        self.tags = []
         while pool:
             best = None
-            for i, (row, _) in enumerate(pool):
+            for i, (row, _, _) in enumerate(pool):
                 for pos, val in row.items():
                     key = (v2(val), pos)
                     if best is None or key < best[0]:
                         best = (key, i, pos)
             _, i, pos = best
-            brow, bcombo = pool.pop(i)
+            brow, bcombo, tag = pool.pop(i)
             piv = brow[pos]
             nxt = []
-            for row, combo in pool:
+            for row, combo, rtag in pool:
                 val = row.get(pos)
                 if val is not None:
                     lam = val / piv
                     _fraction_sub(row, lam, brow)
                     _fraction_sub(combo, lam, bcombo)
                 if row:
-                    nxt.append((row, combo))
+                    nxt.append((row, combo, rtag))
             pool = nxt
             self.basis.append((pos, brow, bcombo))
+            self.tags.append(tag)
 
     def contains(self, target):
         t = _nonzero(target)
@@ -281,19 +283,18 @@ def _assert_matches_the_fraction_elimination(gens, coeffs, other):
     member = _combine(rows, dict(zip(rows, coeffs)))
     for target in (member, {k: v / 2 for k, v in member.items()}, other):
         got, want = lattice.contains(target), oracle.contains(target)
-        # the same coefficients, in the same order and of the same type
+        # the same coefficients, of the same type, keyed in basis order
         assert (got is None) == (want is None)
         if got is not None:
-            assert [(k, type(c), c) for k, c in got.items()] == [(k, type(c), c) for k, c in want.items()]
-    assert [pos for pos, _, _ in lattice.basis] == [pos for pos, _, _ in oracle.basis]
+            assert {k: (type(c), c) for k, c in got.items()} == {k: (type(c), c) for k, c in want.items()}
+            assert list(got) == [tag for tag in oracle.tags if tag in got]
+    assert [pos for pos, _ in lattice.basis] == [pos for pos, _, _ in oracle.basis]
     odd_denominators = all(v.denominator % 2 for _, row in gens for v in row.values())
-    for (pos, row, combo), (_, orow, ocombo) in zip(lattice.basis, oracle.basis):
+    for (pos, row), (_, orow, _) in zip(lattice.basis, oracle.basis):
         unit = row[pos] / orow[pos]
         assert v2(unit) == 0
         assert row == {k: unit * v for k, v in orow.items()}
-        assert combo == {k: unit * v for k, v in ocombo.items()}
-        # the elimination runs on ints: combinations always, rows when no denominator is even
-        assert all(type(c) is int for c in combo.values())
+        # the elimination runs on ints: rows are ints when no denominator is even
         if odd_denominators:
             assert all(type(x) is int for x in row.values())
 

@@ -141,6 +141,26 @@ def test_a_closed_stdout_exits_120_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (120, "")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["hit", "--help"]], ids=["top", "subcommand"])
+def test_help_to_a_closed_stdout_exits_120_without_a_traceback(argv):
+    # argparse swallows the write error of its help; the parser lets it
+    # through.  The error shows at the write only with stdout unbuffered
+    # (-u): buffered, it waits for run's final flush, which exits 120 anyway.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = fresh(["-u", "-m", "jqforge.cli", *argv], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (120, "")
+
+
+def test_a_usage_error_with_stderr_closed_exits_2():
+    # started with fd 2 closed, sys.stderr is None: the error message is dropped
+    proc = fresh(["-m", "jqforge.cli", "cohit", "--d", "x"], stderr=None, preexec_fn=lambda: os.close(2))
+    assert proc.returncode == 2
+
+
 def test_main_in_process_returns_its_code():
     proc = fresh(["-c", "from jqforge import cli\nprint('returned', cli.main(['cohit', '--d', '0']))"])
     assert (proc.returncode, proc.stdout) == (0, "returned 3\n")

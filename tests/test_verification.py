@@ -8,19 +8,23 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Z2Lattice.contains answers with the first basis tag alone: a wrong combination
-# that every caller must catch before handing it back.
+# Z2Lattice.contains answers with its first coefficient one too large: a wrong
+# combination that every caller must catch before handing it back.
 SCRIPT = """
 import json
-from fractions import Fraction
 
 from jqforge import cli, hit, linalg, relations
 from jqforge.errors import VerificationError
 from jqforge.poly import parse_poly
 
 
+right_combination = linalg.Z2Lattice.contains
+
+
 def wrong_combination(self, target):
-    return {next(iter(self.basis[0][2])): Fraction(1)}
+    combo = right_combination(self, target)
+    first = next(iter(combo))
+    return {**combo, first: combo[first] + 1}
 
 
 linalg.Z2Lattice.contains = wrong_combination
