@@ -92,7 +92,9 @@ def word_images(words, mu) -> list:
             memo[w] = out
         return out
 
-    return [image(tuple(w)) for w in words]
+    images = [image(tuple(w)) for w in words]
+    del image  # it refers to itself: drop it now, not at the cyclic collector
+    return images
 
 
 def element_image(terms, mu) -> dict:
@@ -117,9 +119,7 @@ def apply_jq(k: int, f: Polynomial) -> Polynomial:
     """Apply the degree-k operation to f."""
     if k < 0:
         raise DomainError("operation degree must be nonnegative")
-    if k == 0:
-        return f
-    return apply_element({(k,): 1}, f)
+    return f if k == 0 else apply_element({(k,): 1}, f)
 
 
 def apply_word(word, f: Polynomial) -> Polynomial:

@@ -8,9 +8,13 @@ Fractions are built only for what is returned.
 
 Rows are dicts keyed by orderable column ids.  `_step`, row <- u*row -
 a*other with u and a in lowest terms, is the row operation of both
-cores: `SparseEchelon` applies it alike to rows and to their
-combinations over the tags of the original rows (`_scale_sub`),
-`Z2Lattice` to rows alone, logging it (`_eliminate`).
+cores, each step followed by division by (part of) the row's content.
+Both keep rows and the logs of their steps alone, no combination over
+the tags of the original rows: a membership query needs one
+combination, the weighted sum of the stored rows' combinations, and
+`_unwind` gets it by running the logs backward from the last stored row
+to the first (the transposition principle).  Rank, independence and
+affine solves build none.
 
 Over Q: `SparseEchelon`, incremental, pivoting on the least column.  It
 is the one rational core: `nullspace` of sparse columns, `solve_affine`
@@ -19,10 +23,7 @@ first equation that contradicts those before it), and span membership.
 
 Over Z_(2): `Z2Lattice` works in batch and pivots on the least (2-adic
 valuation, column) over the whole pool, so that every step is
-invertible over Z_(2) and the lattice is kept exactly.  It keeps rows
-and their logs alone: `contains` needs one combination, the weighted
-sum of the pivots' combinations, and gets it by running the logs
-backward from the last pivot to the first (the transposition principle).
+invertible over Z_(2) and the lattice is kept exactly (`_eliminate`).
 
 Over F_2: `f2_row_nullspace`, an echelon on bitmasks.
 
@@ -70,87 +71,91 @@ def _step(row, u, a, brow):
     return u, a
 
 
-def _scale_sub(row, combo, u, a, brow, bcombo):
-    """row <- u*row - a*brow by `_step`, alike on the combinations, in place.
+def _unwind(weights, origins):
+    """Coefficients over the original tags of sum weights[p] * (stored row p).
 
-    A row left nonzero is then divided, with its combination, by their
-    common content.
+    origins[p] = (tag, s, log) defines the combination C of row p over the
+    tags: s*[tag] at the start, then (u*C - a*C_j)/g for each logged step
+    (u, a, j, g), C_j that of an earlier row j; C sums to the row as it is
+    stored.  No C is built: the weights run back up the logs, from the
+    last row to the first (the transposed elimination).  A step read
+    backward divides the weight by g, takes a times it from row j's and
+    multiplies it by u, and what reaches the start of the log, times s,
+    is the coefficient of the row's tag.  weights is consumed; the
+    nonzero coefficients come in row order.
     """
-    u, a = _step(row, u, a, brow)
-    if u != 1:
-        for k in combo:
-            combo[k] *= u
-    _sub(combo, a, bcombo)
-    if not row:
-        return
-    g = gcd(*row.values(), *combo.values())
-    if g != 1:
-        for k in row:
-            row[k] //= g
-        for k in combo:
-            combo[k] //= g
-
-
-# the tag under which `SparseEchelon.membership` carries its target
-_TARGET = object()
-
-
-def _solved(combo, tag):
-    """A zero residual's combination solved for the row under tag, in Fractions."""
-    s = combo.pop(tag)
-    return {t: Fraction(-c, s) for t, c in combo.items()}
+    coeffs = []
+    for p in range(len(weights) - 1, -1, -1):
+        w = weights[p]
+        if not w:
+            continue
+        tag, s, log = origins[p]
+        for u, a, j, g in reversed(log):
+            w /= g
+            weights[j] -= a * w
+            w *= u
+        coeffs.append((tag, w * s))
+    return dict(reversed(coeffs))
 
 
 class SparseEchelon:
     """Incremental echelon form on sparse rows keyed by orderable column ids.
 
-    Rows are kept as ints.  A row enters multiplied by the lcm of its
-    denominators, with that lcm as its coefficient in its combination,
-    and is reduced at its least column by row <- q*row - a*stored row,
-    the combinations alike, each step divided by the common content of
-    row and combination.  Every stored row is thereby a multiple of the
-    row elimination over Fractions gives, and remembers how it was
-    assembled from the inserted originals (whose tags must be distinct),
-    so span membership can return explicit coefficients.
+    Rows are kept as ints.  A row enters multiplied by s, the lcm of its
+    denominators, and is reduced at its least column by `_step` against
+    the row stored there, then divided by its own content g; each step
+    logs (u, a, j, g), j the index of the stored row.  A row left nonzero
+    is stored in `rows` as (row, index) under its least column, and its
+    tag, s and log are kept (tags must be distinct); a zero row is
+    dropped.  Every stored row is thereby a multiple of the row
+    elimination over Fractions gives, and its log defines how it was
+    assembled from the inserted originals, which `membership` alone
+    evaluates (`_unwind`).
     """
 
     def __init__(self):
         self.rows = {}
+        self._origins = []
 
-    def reduce(self, row, tag=_TARGET):
-        """Reduce a dict row; returns (residual, combination), both int dicts.
-
-        The row enters the combination under tag, with its multiplier s:
-        residual = sum of combination[t] * (the row tagged t) over tag and
-        the inserted tags.
-        """
+    def insert(self, row, tag):
+        """Add a row; True when it enlarged the span and is stored, else False."""
         row, s = scale_to_ints(row)
-        combo = {tag: s}
+        log = []
         while row:
             p = min(row)
             entry = self.rows.get(p)
             if entry is None:
-                break
-            erow, ecombo = entry
-            _scale_sub(row, combo, erow[p], row[p], erow, ecombo)
-        return row, combo
-
-    def insert(self, row, tag):
-        """Add a row; None when it enlarged the span, else what `membership` gives.
-
-        A row that does not enlarge the span is not stored; its coefficients
-        come from this one reduction.
-        """
-        residual, combo = self.reduce(row, tag)
-        if not residual:
-            return _solved(combo, tag)
-        self.rows[min(residual)] = (residual, combo)
-        return None
+                self.rows[p] = (row, len(self._origins))
+                self._origins.append((tag, s, log))
+                return True
+            erow, j = entry
+            u, a = _step(row, erow[p], row[p], erow)
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
+                log.append((u, a, j, g))
+        return False
 
     def membership(self, row):
-        """Fraction coefficients over inserted tags expressing row, or None."""
-        residual, combo = self.reduce(row)
-        return None if residual else _solved(combo, _TARGET)
+        """Fraction coefficients over inserted tags expressing row, or None.
+
+        The row is reduced on Fractions in increasing pivot order, which
+        gives one weight per stored row, and the weights are unwound.
+        """
+        t = _nonzero(row)
+        weights = [0] * len(self._origins)
+        while t:
+            p = min(t)
+            entry = self.rows.get(p)
+            if entry is None:
+                return None
+            erow, j = entry
+            lam = t[p] / erow[p]
+            _sub(t, lam, erow)
+            weights[j] = lam
+        return _unwind(weights, self._origins)
 
     @property
     def rank(self):
@@ -164,16 +169,17 @@ def nullspace(columns):
     it, in column order: 1 at that column, minus the combination at the
     independent columns, 0 elsewhere, all Fractions.  This is the basis
     read off the reduced row echelon form, one vector per free column.
+    The columns enter one `SparseEchelon`, and only a dependent one is
+    asked for its combination.
     """
     ech = SparseEchelon()
     basis = []
     for j, col in enumerate(columns):
-        combo = ech.insert(col, j)
-        if combo is None:
+        if ech.insert(col, j):
             continue
         v = [Fraction(0)] * len(columns)
         v[j] = Fraction(1)
-        for t, c in combo.items():
+        for t, c in ech.membership(col).items():
             v[t] = -c
         basis.append(v)
     return basis
@@ -273,10 +279,9 @@ class Z2Lattice:
 
     Rows are eliminated alone, each logging its steps (`_eliminate`), and
     a row that becomes a pivot is kept as it stands, with its tag, s and
-    log.  These define its combination C over the tags: s*[tag] at the
-    start, then (u*C - a*C_j)/g for each logged step (u, a, j, g), C_j
-    the combination of pivot j, an earlier one; C sums to the row as
-    `basis` holds it.  The answers do not depend on this scale.
+    log, which define its combination C over the tags as `_unwind` reads
+    them; C sums to the row as `basis` holds it.  The answers do not
+    depend on this scale.
     Eliminating each row together with its combination, and dividing the
     pair by its joint content, would give every pivot's (row, C) times a
     unit of Z_(2), the same pivots in the same order, and multipliers
@@ -322,12 +327,8 @@ class Z2Lattice:
 
         Works down the triangular basis on Fractions for a multiplier per
         pivot; one of negative valuation, or a nonzero residual, means the
-        target is outside the lattice.  The multipliers then run back up
-        the logs, from the last pivot to the first (the transposed
-        elimination): a step (u, a, j, g) read backward divides the weight
-        by g, takes a times it from pivot j's and multiplies it by u, and
-        what reaches the start of the log, times s, is the coefficient of
-        the pivot's tag.  The nonzero ones come in basis order.
+        target is outside the lattice.  The multipliers are then unwound
+        (`_unwind`); the nonzero coefficients come in basis order.
         """
         t = _nonzero(target)
         weights = [0] * len(self.basis)
@@ -342,18 +343,7 @@ class Z2Lattice:
             weights[p] = lam
         if t:
             return None
-        coeffs = []
-        for p in range(len(weights) - 1, -1, -1):
-            w = weights[p]
-            if not w:
-                continue
-            tag, s, log = self._origins[p]
-            for u, a, j, g in reversed(log):
-                w /= g
-                weights[j] -= a * w
-                w *= u
-            coeffs.append((tag, w * s))
-        return dict(reversed(coeffs))
+        return _unwind(weights, self._origins)
 
 
 # -- F_2 --------------------------------------------------------------

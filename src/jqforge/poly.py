@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import sub
 
 from .errors import DomainError, ParseError
 from .scalar2 import format_scalar, parse_scalar
@@ -280,16 +282,13 @@ def monomials_upto(arity: int, max_deg: int):
 
 
 def monomials_of_degree(arity: int, d: int):
-    """Yield the exponent tuples of total degree d, the first entry slowest."""
-    def rec(pos, remaining, acc):
-        if pos == arity - 1:
-            yield tuple(acc + [remaining])
-            return
-        for e in range(remaining + 1):
-            yield from rec(pos + 1, remaining - e, acc + [e])
+    """Yield the exponent tuples of total degree d, the first entry slowest.
 
+    Its first arity - 1 partial sums are a nondecreasing tuple over 0..d.
+    """
     if arity == 0:
         if d == 0:
             yield ()
     elif arity > 0 and d >= 0:
-        yield from rec(0, d, [])
+        for sums in combinations_with_replacement(range(d + 1), arity - 1):
+            yield tuple(map(sub, (*sums, d), (0, *sums)))

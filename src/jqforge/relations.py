@@ -11,9 +11,10 @@ Two kinds of columns feed the eliminations.
   algebra of the Witt algebra W+, whose degree-d part has dimension
   p(d); a word's coordinates are exact in every number of variables.
   `q12_decompose` (`SparseEchelon` membership), `binary_decompose`
-  (`Z2Lattice` membership), the Ore search (the first dependent column
-  of one `SparseEchelon`) and the choice of independent words in
-  `rank_estimate` solve on them.
+  (`Z2Lattice` membership), the Ore search (one `SparseEchelon`, asked
+  for the combination of its first dependent column alone) and the
+  choice of independent words in `rank_estimate` (which asks for none)
+  solve on them.
 - Grid rows.  Each element {word: coeff} acts on every monomial of a
   grid {m in N^n : |m| <= d} through the evaluation kernel, and the
   coefficient of x^exps in the image of the i-th grid monomial is keyed
@@ -231,7 +232,7 @@ def _independent(words):
     out, dim = [], witt.dimension(sum(words[0]))
     ech = linalg.SparseEchelon()
     for w, c in zip(words, witt.word_coordinates(words)):
-        if ech.insert(c, w) is None:
+        if ech.insert(c, w):
             out.append((w, c))
             if len(out) == dim:
                 break
@@ -314,22 +315,23 @@ def _ore_attempt(theta, eta, coords, wx, wy):
 
     coords holds the coordinates of theta and of -eta.  Each side keeps
     only its words that are not combinations of earlier ones.  The
-    columns theta*x_i, then -eta*y_j, enter one echelon in order; the
-    x columns are independent, because the algebra is a domain.  The
-    first y column that is a combination of the columns before it gives
-    the pair: its combination must use an x column, since the y columns
-    are independent too, so x and y are both nonzero.  This is the first
-    vector of `linalg.nullspace` of all the columns of wx and wy whose x
-    is nonzero in coordinates.
+    columns theta*x_i, then -eta*y_j, enter one `SparseEchelon` in
+    order; the x columns are independent, because the algebra is a
+    domain.  The first dependent column, a y column, is the only one
+    asked for its combination, which gives the pair: it must use an x
+    column, since the y columns are independent too, so x and y are
+    both nonzero.  This is the first vector of `linalg.nullspace` of all
+    the columns of wx and wy whose x is nonzero in coordinates.
     """
     th, et = coords
     ech = linalg.SparseEchelon()
     for w, c in _independent(wx):
         ech.insert(witt.multiply(th, c), ("x", w))
     for w, c in _independent(wy):
-        combo = ech.insert(witt.multiply(et, c), ("y", w))
-        if combo is None:
+        col = witt.multiply(et, c)
+        if ech.insert(col, ("y", w)):
             continue
+        combo = ech.membership(col)
         x = OpElement({v: -a for (side, v), a in combo.items() if side == "x"})
         y = OpElement({v: -a for (side, v), a in combo.items() if side == "y"})
         y = y + OpElement.from_word(w)

@@ -7,6 +7,7 @@ arithmetic, and words and elements are composed from it letter by letter.
 """
 
 import functools
+import gc
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from jqforge.action import (
     word_images,
 )
 from jqforge.opalg import OpElement, eval_element
-from jqforge.poly import Polynomial
+from jqforge.poly import Polynomial, monomials_of_degree
 from jqforge.relations import adem_nullspace
 
 ORACLE = settings(derandomize=True, max_examples=150, deadline=None)
@@ -183,3 +184,17 @@ def test_mutating_results_does_not_leak_into_later_calls(ws, terms, mu):
     before = element_image(terms, mu)
     element_image(terms, mu)[(99,) * len(mu)] = 7
     assert element_image(terms, mu) == before
+
+
+def test_the_kernel_leaves_no_reference_cycles():
+    # word_images' memoising closure and the monomial enumerator are freed
+    # by reference counting, not left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        images = word_images([(2, 1), (1, 1), (3, 1, 1)], (1, 2, 0))
+        monomials = list(monomials_of_degree(3, 5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(images) == 3 and len(monomials) == 21

@@ -230,6 +230,34 @@ def test_rank_estimate_degree_four():
     assert r < len(list(compositions(4)))
 
 
+def test_only_a_membership_query_builds_a_combination(monkeypatch):
+    # rank, independence and affine solves keep rows and logs alone; the
+    # backward pass that builds coefficients runs for membership only
+    unwound, asked = [], []
+    unwind, membership = linalg._unwind, linalg.SparseEchelon.membership
+
+    def spy_unwind(weights, origins):
+        unwound.append(len(origins))
+        return unwind(weights, origins)
+
+    def spy_membership(self, row):
+        asked.append(row)
+        return membership(self, row)
+
+    monkeypatch.setattr(linalg, "_unwind", spy_unwind)
+    monkeypatch.setattr(linalg.SparseEchelon, "membership", spy_membership)
+    rank_estimate(9)
+    relations._independent(list(compositions(8)))
+    assert linalg.solve_affine([[1, 2, 0], [2, 4, 1], [0, 0, 3]], [1, 2, 0]) == ([1, 0, 0], None)
+    assert linalg.solve_affine([[1, 2], [2, 4]], [1, 3]) == (None, 1)
+    assert unwound == [] and asked == []
+    # nullspace asks once per dependent column, never for an independent one
+    cols = [{0: 1}, {1: 2}, {0: 3, 1: 4}, {}, {2: Fraction(1, 2)}, {0: 1}, {1: 1, 3: 1}]
+    assert len(linalg.nullspace(cols)) == 3
+    assert asked == [cols[2], cols[3], cols[5]]
+    assert len(unwound) == 3
+
+
 def test_relation_basis_json_deterministic():
     rb = adem_nullspace(3)
     data = rb.json_obj()

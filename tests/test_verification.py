@@ -109,8 +109,8 @@ from jqforge.opalg import OpElement
 
 
 def wrong_combination(self, target):
-    _, combo = next(iter(self.rows.values()))
-    return {next(iter(combo)): Fraction(1)}
+    # Jq1.Jq1.Jq1 alone, a word that both of the gauge's echelons hold
+    return {(1, 1, 1): Fraction(1)}
 
 
 def no_combination(self, target):
