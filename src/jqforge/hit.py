@@ -184,8 +184,7 @@ def _in_f2_span(gens, f):
     """
     cols = [{e for e, c in col.items() if c & 1} for (k, _), col in gens if _is_power(k)]
     target = {e for e, c in f.terms.items() if c.numerator & 1}
-    null = linalg.f2_row_nullspace(cols + [target])
-    return bool(null) and null[-1][-1] == len(cols)
+    return linalg.f2_in_span(cols, target)
 
 
 def _membership(gens, f):

@@ -25,7 +25,8 @@ Over Z_(2): `Z2Lattice` works in batch and pivots on the least (2-adic
 valuation, column) over the whole pool, so that every step is
 invertible over Z_(2) and the lattice is kept exactly (`_eliminate`).
 
-Over F_2: `f2_row_nullspace`, an echelon on bitmasks.
+Over F_2: `f2_in_span`, an echelon on bitmasks that answers span
+membership only, with no combinations.
 
 Everything is Fraction or int arithmetic; nothing floats.
 """
@@ -349,34 +350,22 @@ class Z2Lattice:
 # -- F_2 --------------------------------------------------------------
 
 
-def f2_row_nullspace(rows):
-    """Left-kernel combinations of F_2 rows, each a set of sortable column keys.
+def f2_in_span(rows, target):
+    """Whether some subset of the F_2 rows sums to target.
 
-    Columns are numbered in sorted key order.  Returns one list of row
-    indices, ascending, per row that reduces to zero against the rows
-    before it; each marks a subset of rows summing to zero.
+    Rows and target are sets of hashable column keys, numbered as first
+    seen.  The rows enter an echelon on bitmasks, each pivoting on its
+    highest bit, and the target enters last: it lies in the span exactly
+    when it reduces to zero.  The empty target always does.
     """
-    index = {k: i for i, k in enumerate(sorted({k for row in rows for k in row}))}
+    index = {}
     basis = {}
-    null = []
-    for i, keys in enumerate(rows):
+    for keys in (*rows, target):
         r = 0
         for k in keys:
-            r |= 1 << index[k]
-        combo = 1 << i
-        while r:
-            lead = r & -r
-            if lead not in basis:
-                basis[lead] = (r, combo)
-                break
-            br, bc = basis[lead]
-            r ^= br
-            combo ^= bc
-        if r == 0:
-            members = []
-            while combo:
-                low = combo & -combo
-                members.append(low.bit_length() - 1)
-                combo ^= low
-            null.append(members)
-    return null
+            r |= 1 << index.setdefault(k, len(index))
+        while r and (top := r.bit_length()) in basis:
+            r ^= basis[top]
+        if r:
+            basis[top] = r
+    return not r

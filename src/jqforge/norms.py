@@ -3,10 +3,11 @@
 Three inequivalent gauges, each with its own report: the word-length
 valuation (membership in powers of the positive-degree ideal, on the
 exact single-variable system, where a proof leaves two candidate
-values and d words to test them), the kernel
-filtration of the mod-2 reduction (in Witt coordinates, so a gauge of
-the operator rather than of its spelling), and the transformation norm,
-exact from a sweep to the element's own degree.  Reports carry the
+values and d words to test them), the kernel filtration of the mod-2
+reduction (in Witt coordinates, so a gauge of the operator rather than
+of its spelling; the kernel's generators are read off admissible
+forms, with no F_2 elimination), and the transformation norm, exact
+from a sweep to the element's own degree.  Reports carry the
 bounds they were computed under and, when available, a witness that
 re-verifies the value.
 """
@@ -117,16 +118,24 @@ def ker_phi_membership(e: OpElement) -> bool:
 def _kernel_lattice_generators(b: int):
     """Generators of the kernel of mod-2 reduction among degree-b elements.
 
-    Doubled words always reduce to zero; on top of those, subsets of
-    words whose classical images cancel give the interesting generators.
+    They are 2w for every word w of degree b, and, for every w that is
+    not admissible, w minus the sum of its admissible form; each reduces
+    to zero.  They span the kernel over Z_(2), with no F_2 elimination.
+    The admissible words are among the words, and each reduces to
+    itself.  So a kernel element sum c_w w, minus c_w times the generator
+    of each of its non-admissible words w, is a combination of admissible
+    words with zero reduction.  That reduction is the set of its words
+    with odd coefficients, so all its coefficients are even: it is a
+    combination of the 2w.
     """
     if b == 0:
         return [OpElement({(): Fraction(2)})]
     words = list(compositions(b))
     gens = [OpElement({w: Fraction(2)}) for w in words]
-    images = [admissible_form(w) for w in words]
-    for combo in linalg.f2_row_nullspace(images):
-        gens.append(OpElement({words[i]: Fraction(1) for i in combo}))
+    for w in words:
+        form = admissible_form(w)
+        if form != {w}:
+            gens.append(OpElement({w: Fraction(1), **dict.fromkeys(form, Fraction(-1))}))
     return gens
 
 
@@ -140,7 +149,8 @@ def ker_adic_valuation(e: OpElement, max_j: int = 6, degree_bound: int = 8) -> V
 
     Works in the algebra, on Witt coordinates (`witt`), so two spellings
     of one operator get one value.  The homogeneous kernel generators
-    (the scalar 2 included) are taken to coordinates and reduced by
+    (the doubled words and each non-admissible word minus its admissible
+    form, the scalar 2 included) are taken to coordinates and reduced by
     2-adic elimination once per degree; powers of the kernel are then
     built recursively per degree from their products, reduced again at
     every stage, and e is tested against them.  Zero lies in every

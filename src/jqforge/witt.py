@@ -140,15 +140,12 @@ def word_coordinates(words):
     the caller; a word listed twice gets the same dict twice.
     """
     memo = {(): {(): Fraction(1)}}
-
-    def coords(w):
-        out = memo.get(w)
-        if out is None:
-            out = memo[w] = multiply(E(w[0]), coords(w[1:]))
-        return out
-
     for w in words:
-        yield coords(tuple(w))
+        w = tuple(w)
+        i = next(i for i in range(len(w) + 1) if w[i:] in memo)
+        for j in range(i - 1, -1, -1):
+            memo[w[j:]] = multiply(E(w[j]), memo[w[j + 1:]])
+        yield memo[w]
 
 
 def element_coordinates(elements) -> list:

@@ -20,9 +20,10 @@ from jqforge.action import (
     monomial_image,
     word_images,
 )
-from jqforge.opalg import OpElement, eval_element
+from jqforge.opalg import OpElement, compositions, eval_element
 from jqforge.poly import Polynomial, monomials_of_degree
 from jqforge.relations import adem_nullspace
+from jqforge.witt import word_coordinates
 
 ORACLE = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -187,14 +188,16 @@ def test_mutating_results_does_not_leak_into_later_calls(ws, terms, mu):
 
 
 def test_the_kernel_leaves_no_reference_cycles():
-    # word_images' memoising closure and the monomial enumerator are freed
-    # by reference counting, not left for the cyclic collector
+    # word_images' and word_coordinates' suffix memos and the monomial
+    # enumerator are freed by reference counting, not left for the cyclic
+    # collector
     gc.collect()
     gc.disable()
     try:
         images = word_images([(2, 1), (1, 1), (3, 1, 1)], (1, 2, 0))
         monomials = list(monomials_of_degree(3, 5))
+        coords = list(word_coordinates(compositions(6)))
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert len(images) == 3 and len(monomials) == 21
+    assert len(images) == 3 and len(monomials) == 21 and len(coords) == 32

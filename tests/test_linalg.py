@@ -171,20 +171,18 @@ def _f2_sum(rows, combo):
 
 
 @PROPERTY
-@given(f2_rows)
-def test_f2_row_nullspace_is_a_basis_of_the_zero_sums(rows):
-    null = linalg.f2_row_nullspace(rows)
-    for combo in null:
-        assert combo and _f2_sum(rows, combo) == set()
-        assert combo == sorted(set(combo))
-    # the kernel has 2^dim elements: count the zero-sum subsets directly
-    zero_sums = sum(
-        1
+@given(f2_rows, st.frozensets(st.sampled_from("abcdefg"), max_size=4))
+def test_f2_in_span_is_true_exactly_when_a_subset_sums_to_the_target(rows, target):
+    sums = (
+        _f2_sum(rows, subset)
         for size in range(len(rows) + 1)
         for subset in combinations(range(len(rows)), size)
-        if _f2_sum(rows, subset) == set()
     )
-    assert zero_sums == 2 ** len(null)
+    assert linalg.f2_in_span(rows, target) == any(total == target for total in sums)
+    # a row's own set and the empty sum are always in the span
+    assert linalg.f2_in_span(rows, frozenset())
+    for row in rows:
+        assert linalg.f2_in_span(rows, row)
 
 
 def _fraction_sub(row, lam, other):

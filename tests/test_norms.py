@@ -14,7 +14,14 @@ from jqforge.norms import (
     ker_phi_membership,
     operator_norm_estimate,
 )
-from jqforge.opalg import OpElement, compositions, equal_by_evaluation, parse_op, word_key
+from jqforge.opalg import (
+    OpElement,
+    admissible_form,
+    compositions,
+    equal_by_evaluation,
+    parse_op,
+    word_key,
+)
 from jqforge.poly import monomials_upto
 from jqforge.relations import adem_nullspace, grid_vectors
 from jqforge.scalar2 import INF, scale_to_ints, v2_int
@@ -191,6 +198,49 @@ def test_ker_phi_membership():
 def test_ker_phi_on_degree_three_relation():
     a3 = parse_op("3*Jq3 - 6*Jq2.Jq1 + 3*Jq1.Jq2 + Jq1.Jq1.Jq1")
     assert ker_phi_membership(a3)
+
+
+def _f2_zero_sums(rows):
+    """Index sets of rows summing to zero mod 2, one per row dependent on those before it."""
+    basis = {}
+    out = []
+    for i, row in enumerate(rows):
+        row, combo = set(row), {i}
+        while row and min(row) in basis:
+            brow, bcombo = basis[min(row)]
+            row ^= brow
+            combo ^= bcombo
+        if row:
+            basis[min(row)] = (row, combo)
+        else:
+            out.append(combo)
+    return out
+
+
+def _nullspace_kernel_generators(b):
+    """The kernel generators from an F_2 nullspace: 2w per word, plus each zero-sum word set."""
+    if b == 0:
+        return [OpElement({(): F(2)})]
+    words = list(compositions(b))
+    gens = [OpElement({w: F(2)}) for w in words]
+    for combo in _f2_zero_sums([admissible_form(w) for w in words]):
+        gens.append(OpElement({words[i]: F(1) for i in combo}))
+    return gens
+
+
+@pytest.mark.parametrize("b", range(8))
+def test_admissible_forms_span_the_nullspace_kernel_lattice(b):
+    ours = norms._kernel_lattice_generators(b)
+    reference = _nullspace_kernel_generators(b)
+    assert all(ker_phi_membership(g) for g in ours)
+    for gens, others in ((ours, reference), (reference, ours)):
+        lattice = linalg.Z2Lattice((i, g.terms) for i, g in enumerate(gens))
+        assert all(lattice.contains(g.terms) is not None for g in others)
+
+
+def test_ker_adic_valuation_of_powers_of_jq1():
+    values = [ker_adic_valuation(OpElement.from_word((1,) * k)).value for k in range(1, 9)]
+    assert values == [0, 1, 1, 2, 2, 3, 3, 4]
 
 
 def test_ker_adic_scalars():
